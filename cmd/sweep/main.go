@@ -45,12 +45,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the telemetry mux
 	"os"
+	"strings"
 	"sync/atomic"
 
 	"twobit/internal/report"
@@ -58,43 +61,73 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	planPath := flag.String("plan", "", "campaign plan JSON file ('-' for stdin)")
-	example := flag.Bool("example", false, "print a documented example plan and exit")
-	workers := flag.Int("workers", 1, "worker goroutines (output is identical for any value)")
-	out := flag.String("out", "", "result store path (default <plan name>.jsonl)")
-	resume := flag.Bool("resume", false, "continue an interrupted campaign from the store's checkpoint")
-	format := flag.String("format", "table", "aggregate output: table, csv or json")
-	metric := flag.String("metric", "useless_per_ref", "metric to aggregate (see -metrics)")
-	listMetrics := flag.Bool("metrics", false, "list the aggregatable metrics and exit")
-	spread := flag.Bool("spread", false, "also print min/max grids across replicates")
-	quiet := flag.Bool("quiet", false, "suppress progress output")
-	telemetry := flag.String("telemetry", "", "serve live campaign telemetry (expvar + pprof) on this address, e.g. localhost:6060")
-	sharded := flag.Bool("sharded", false, "write per-worker shard files instead of a single ordered store (shorthand for -shard 0/1)")
-	shardSpec := flag.String("shard", "", "run one slice i/n of the plan's run-id space into the shard dir (e.g. 0/2)")
-	merge := flag.Bool("merge", false, "validate the shard dir and write the canonical single store, then aggregate")
-	shardsDir := flag.String("shards", "", "shard directory (default <plan name>.shards)")
-	flag.Parse()
+// cli runs the command with args and returns its exit status: 0, 1 after
+// printing an error with one "sweep: " prefix (whether or not the package
+// that produced it already names itself), or 2 for a command line the
+// flag package rejected and reported.
+func cli(args []string, stdout, stderr io.Writer) int {
+	err := run(args, stdout, stderr)
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	}
+	fmt.Fprintf(stderr, "sweep: %s\n", strings.TrimPrefix(err.Error(), "sweep: "))
+	return 1
+}
+
+// errUsage marks a command line the flag package rejected.
+var errUsage = errors.New("usage")
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	planPath := fs.String("plan", "", "campaign plan JSON file ('-' for stdin)")
+	example := fs.Bool("example", false, "print a documented example plan and exit")
+	workers := fs.Int("workers", 1, "worker goroutines (output is identical for any value)")
+	out := fs.String("out", "", "result store path (default <plan name>.jsonl)")
+	resume := fs.Bool("resume", false, "continue an interrupted campaign from the store's checkpoint")
+	format := fs.String("format", "table", "aggregate output: table, csv or json")
+	metric := fs.String("metric", "useless_per_ref", "metric to aggregate (see -metrics)")
+	listMetrics := fs.Bool("metrics", false, "list the aggregatable metrics and exit")
+	spread := fs.Bool("spread", false, "also print min/max grids across replicates")
+	quiet := fs.Bool("quiet", false, "suppress progress output")
+	telemetry := fs.String("telemetry", "", "serve live campaign telemetry (expvar + pprof) on this address, e.g. localhost:6060")
+	sharded := fs.Bool("sharded", false, "write per-worker shard files instead of a single ordered store (shorthand for -shard 0/1)")
+	shardSpec := fs.String("shard", "", "run one slice i/n of the plan's run-id space into the shard dir (e.g. 0/2)")
+	merge := fs.Bool("merge", false, "validate the shard dir and write the canonical single store, then aggregate")
+	shardsDir := fs.String("shards", "", "shard directory (default <plan name>.shards)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 
 	if *example {
 		data, err := sweep.ExamplePlan().MarshalIndent()
 		if err != nil {
 			return err
 		}
-		_, err = os.Stdout.Write(data)
+		_, err = stdout.Write(data)
 		return err
 	}
 	if *listMetrics {
 		for _, n := range sweep.MetricNames() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
 		return nil
+	}
+	// Check the aggregation flags now, not after a campaign has run.
+	if _, err := sweep.Metric(*metric); err != nil {
+		return err
+	}
+	if err := checkFormat(*format); err != nil {
+		return err
 	}
 	if *planPath == "" {
 		return fmt.Errorf("no -plan given (try -example for the format)")
@@ -114,14 +147,14 @@ func run() error {
 	}
 
 	if *merge {
-		return runMerge(plan, dir, storePath, *format, *metric, *spread, *quiet)
+		return runMerge(stdout, stderr, plan, dir, storePath, *format, *metric, *spread, *quiet)
 	}
 	if *sharded || *shardSpec != "" {
 		spec := *shardSpec
 		if spec == "" {
 			spec = "0/1"
 		}
-		return runSharded(plan, dir, spec, *workers, *telemetry, *quiet)
+		return runSharded(stderr, plan, dir, spec, *workers, *telemetry, *quiet)
 	}
 
 	st, err := sweep.Open(storePath, *resume)
@@ -139,17 +172,17 @@ func run() error {
 			return err
 		}
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "resuming %s: %d/%d runs checkpointed in %s\n", plan.Name, done, total, storePath)
+			fmt.Fprintf(stderr, "resuming %s: %d/%d runs checkpointed in %s\n", plan.Name, done, total, storePath)
 		}
 	}
-	prog := serveTelemetry(*telemetry, plan.Name, total, *quiet)
+	prog := serveTelemetry(stderr, *telemetry, plan.Name, total, *quiet)
 	err = sweep.ExecuteObserved(plan, *workers, done, func(rec sweep.Record) error {
 		if err := st.Append(rec); err != nil {
 			return err
 		}
 		done++
 		if !*quiet && (done%10 == 0 || done == total) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d runs", done, total)
+			fmt.Fprintf(stderr, "\r%d/%d runs", done, total)
 		}
 		return nil
 	}, prog)
@@ -160,7 +193,7 @@ func run() error {
 		return err
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "\rcampaign %s complete: %d runs in %s\n", plan.Name, total, storePath)
+		fmt.Fprintf(stderr, "\rcampaign %s complete: %d runs in %s\n", plan.Name, total, storePath)
 	}
 
 	recs, err := sweep.LoadStore(storePath)
@@ -172,15 +205,15 @@ func run() error {
 		return err
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "warning: %d of %d runs failed; see the err fields in %s\n", failed, total, storePath)
+		fmt.Fprintf(stderr, "warning: %d of %d runs failed; see the err fields in %s\n", failed, total, storePath)
 	}
-	return render(grids, *format, *spread, plan.Replicates)
+	return render(stdout, grids, *format, *spread, plan.Replicates)
 }
 
 // serveTelemetry publishes campaign progress as the "sweep" expvar and
 // serves it (plus pprof) on addr. Returns nil when addr is empty — the
 // Progress methods are nil-safe, so callers pass the result through.
-func serveTelemetry(addr, name string, total int, quiet bool) *sweep.Progress {
+func serveTelemetry(stderr io.Writer, addr, name string, total int, quiet bool) *sweep.Progress {
 	if addr == "" {
 		return nil
 	}
@@ -190,11 +223,11 @@ func serveTelemetry(addr, name string, total int, quiet bool) *sweep.Progress {
 		// Best-effort: a campaign must not die because its debug port
 		// is taken.
 		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
+			fmt.Fprintf(stderr, "telemetry: %v\n", err)
 		}
 	}()
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "telemetry: http://%s/debug/vars (expvar \"sweep\"), /debug/pprof/\n", addr)
+		fmt.Fprintf(stderr, "telemetry: http://%s/debug/vars (expvar \"sweep\"), /debug/pprof/\n", addr)
 	}
 	return prog
 }
@@ -213,7 +246,7 @@ func parseShard(spec string) (slice, of int, err error) {
 // runSharded executes one shard slice of the plan into per-worker shard
 // files under dir. Resumption is implicit: runs already persisted by any
 // shard file (any slice, any generation) are skipped.
-func runSharded(plan *sweep.Plan, dir, spec string, workers int, telemetry string, quiet bool) error {
+func runSharded(stderr io.Writer, plan *sweep.Plan, dir, spec string, workers int, telemetry string, quiet bool) error {
 	slice, of, err := parseShard(spec)
 	if err != nil {
 		return err
@@ -230,10 +263,10 @@ func runSharded(plan *sweep.Plan, dir, spec string, workers int, telemetry strin
 		}
 	}
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "shard %d/%d of %s: %d runs to execute (%d already persisted) in %s\n",
+		fmt.Fprintf(stderr, "shard %d/%d of %s: %d runs to execute (%d already persisted) in %s\n",
 			slice, of, plan.Name, mine, len(done), dir)
 	}
-	prog := serveTelemetry(telemetry, plan.Name, mine, quiet)
+	prog := serveTelemetry(stderr, telemetry, plan.Name, mine, quiet)
 	var emitted atomic.Int64 // sinks run concurrently, one per worker
 	err = sweep.ExecuteShardedObserved(plan, workers,
 		func(id int) bool { return id%of == slice && !done[id] },
@@ -243,7 +276,7 @@ func runSharded(plan *sweep.Plan, dir, spec string, workers int, telemetry strin
 			}
 			if !quiet {
 				if n := int(emitted.Add(1)); n%10 == 0 || n == mine {
-					fmt.Fprintf(os.Stderr, "\r%d/%d runs", n, mine)
+					fmt.Fprintf(stderr, "\r%d/%d runs", n, mine)
 				}
 			}
 			return nil
@@ -255,11 +288,11 @@ func runSharded(plan *sweep.Plan, dir, spec string, workers int, telemetry strin
 		return err
 	}
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "\rshard %d/%d of %s complete: %d runs in %s\n", slice, of, plan.Name, mine, dir)
+		fmt.Fprintf(stderr, "\rshard %d/%d of %s complete: %d runs in %s\n", slice, of, plan.Name, mine, dir)
 		if of > 1 {
-			fmt.Fprintf(os.Stderr, "run the remaining slices, then: sweep -plan ... -merge\n")
+			fmt.Fprintf(stderr, "run the remaining slices, then: sweep -plan ... -merge\n")
 		} else {
-			fmt.Fprintf(os.Stderr, "merge to a canonical store with: sweep -plan ... -merge\n")
+			fmt.Fprintf(stderr, "merge to a canonical store with: sweep -plan ... -merge\n")
 		}
 	}
 	return nil
@@ -267,12 +300,12 @@ func runSharded(plan *sweep.Plan, dir, spec string, workers int, telemetry strin
 
 // runMerge validates dir's shard files against the plan, writes the
 // canonical single-writer store to storePath, and aggregates it.
-func runMerge(plan *sweep.Plan, dir, storePath, format, metric string, spread, quiet bool) error {
+func runMerge(stdout, stderr io.Writer, plan *sweep.Plan, dir, storePath, format, metric string, spread, quiet bool) error {
 	if err := sweep.WriteMergedStore(plan, dir, storePath); err != nil {
 		return err
 	}
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "merged %s into canonical store %s (%d runs)\n", dir, storePath, plan.Size())
+		fmt.Fprintf(stderr, "merged %s into canonical store %s (%d runs)\n", dir, storePath, plan.Size())
 	}
 	recs, err := sweep.LoadStore(storePath)
 	if err != nil {
@@ -283,9 +316,9 @@ func runMerge(plan *sweep.Plan, dir, storePath, format, metric string, spread, q
 		return err
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "warning: %d of %d runs failed; see the err fields in %s\n", failed, plan.Size(), storePath)
+		fmt.Fprintf(stderr, "warning: %d of %d runs failed; see the err fields in %s\n", failed, plan.Size(), storePath)
 	}
-	return render(grids, format, spread, plan.Replicates)
+	return render(stdout, grids, format, spread, plan.Replicates)
 }
 
 func readPlan(path string) (*sweep.Plan, error) {
@@ -310,25 +343,34 @@ func selected(gs sweep.GridSet, spread bool, replicates int) []*report.Grid {
 	return out
 }
 
-func render(grids []sweep.GridSet, format string, spread bool, replicates int) error {
+// checkFormat reports an error for an aggregate format render lacks.
+func checkFormat(format string) error {
+	switch format {
+	case "table", "csv", "json":
+		return nil
+	}
+	return fmt.Errorf("unknown -format %q (want table, csv or json)", format)
+}
+
+func render(w io.Writer, grids []sweep.GridSet, format string, spread bool, replicates int) error {
 	switch format {
 	case "table":
 		for _, gs := range grids {
 			for _, g := range selected(gs, spread, replicates) {
-				if err := g.Write(os.Stdout); err != nil {
+				if err := g.Write(w); err != nil {
 					return err
 				}
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 		}
 		return nil
 	case "csv":
 		for _, gs := range grids {
 			for _, g := range selected(gs, spread, replicates) {
-				if err := g.WriteCSV(os.Stdout); err != nil {
+				if err := g.WriteCSV(w); err != nil {
 					return err
 				}
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 		}
 		return nil
@@ -337,10 +379,10 @@ func render(grids []sweep.GridSet, format string, spread bool, replicates int) e
 		for _, gs := range grids {
 			all = append(all, selected(gs, spread, replicates)...)
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(all)
 	default:
-		return fmt.Errorf("unknown -format %q (want table, csv or json)", format)
+		return checkFormat(format)
 	}
 }

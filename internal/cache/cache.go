@@ -102,15 +102,17 @@ type Stats struct {
 // Cache is a set-associative cache. It is not safe for concurrent use; in
 // the event-driven simulator each cache is owned by one component, and the
 // goroutine runtime wraps accesses in its own synchronization.
+//
+// Lookups scan the block's set: with a few ways per set that is cheaper
+// than any per-block index, and there is no second structure to keep in
+// step with the frames.
 type Cache struct {
 	cfg    Config
-	sets   [][]Frame
-	clock  uint64 // logical use counter for LRU/FIFO
+	frames []Frame // set s occupies frames[s*Assoc : (s+1)*Assoc]
+	clock  uint64  // logical use counter for LRU/FIFO
 	random *rng.PCG
 	stats  Stats
-	// index accelerates FindBlock: block -> set slot. Maintained on every
-	// fill/invalidate so lookups during broadcasts are O(1).
-	index map[addr.Block]int
+	valid  int // number of valid frames
 }
 
 // New constructs a cache. It panics on an invalid Config (construction is
@@ -119,24 +121,19 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := make([][]Frame, cfg.Sets)
-	for i := range sets {
-		sets[i] = make([]Frame, cfg.Assoc)
-	}
 	return &Cache{
 		cfg:    cfg,
-		sets:   sets,
+		frames: make([]Frame, cfg.Blocks()),
 		random: rng.New(cfg.Seed, 0x5eed),
-		index:  make(map[addr.Block]int, cfg.Blocks()),
 	}
 }
 
 // Reset restores the cache to its freshly-constructed state under cfg,
-// reusing the frame arrays and the lookup index. The geometry (Sets,
-// Assoc) must match the construction geometry — geometry is machine
-// shape, owned by whoever decides to pool or rebuild; value parameters
-// (Policy, DuplicateDirectory, Seed) may differ freely. It panics on an
-// invalid or geometry-changing Config, mirroring New.
+// reusing the frame array. The geometry (Sets, Assoc) must match the
+// construction geometry — geometry is machine shape, owned by whoever
+// decides to pool or rebuild; value parameters (Policy,
+// DuplicateDirectory, Seed) may differ freely. It panics on an invalid or
+// geometry-changing Config, mirroring New.
 func (c *Cache) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -146,13 +143,11 @@ func (c *Cache) Reset(cfg Config) {
 			cfg.Sets, cfg.Assoc, c.cfg.Sets, c.cfg.Assoc))
 	}
 	c.cfg = cfg
-	for _, set := range c.sets {
-		clear(set)
-	}
+	clear(c.frames)
 	c.clock = 0
 	c.random.Reseed(cfg.Seed, 0x5eed)
 	c.stats = Stats{}
-	clear(c.index)
+	c.valid = 0
 }
 
 // Config returns the construction configuration.
@@ -161,22 +156,22 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a pointer to the cache's counters.
 func (c *Cache) Stats() *Stats { return &c.stats }
 
-// setFor maps a block to its set index.
-func (c *Cache) setFor(b addr.Block) int { return int(uint64(b) % uint64(c.cfg.Sets)) }
+// set returns the frames of block b's set.
+func (c *Cache) set(b addr.Block) []Frame {
+	i := int(uint64(b)%uint64(c.cfg.Sets)) * c.cfg.Assoc
+	return c.frames[i : i+c.cfg.Assoc]
+}
 
 // Lookup returns the frame holding block b, or nil. It counts neither hit
 // nor miss; use Access for processor references.
 func (c *Cache) Lookup(b addr.Block) *Frame {
-	slot, ok := c.index[b]
-	if !ok {
-		return nil
+	set := c.set(b)
+	for i := range set {
+		if set[i].Valid && set[i].Block == b {
+			return &set[i]
+		}
 	}
-	set := c.setFor(b)
-	f := &c.sets[set][slot]
-	if !f.Valid || f.Block != b {
-		return nil
-	}
-	return f
+	return nil
 }
 
 // Access performs the local part of a processor reference: on a hit it
@@ -200,7 +195,7 @@ func (c *Cache) Access(b addr.Block) *Frame {
 // first (no replacement needed). The returned frame may be inspected for
 // the EJECT decision before calling Fill.
 func (c *Cache) Victim(b addr.Block) *Frame {
-	set := c.sets[c.setFor(b)]
+	set := c.set(b)
 	for i := range set {
 		if !set[i].Valid {
 			return &set[i]
@@ -234,7 +229,7 @@ func (c *Cache) Victim(b addr.Block) *Frame {
 // unmodified and non-exclusive; callers set Modified/Exclusive afterwards
 // as their protocol dictates.
 func (c *Cache) Fill(victim *Frame, b addr.Block, data uint64) {
-	if slot, ok := c.index[b]; ok && &c.sets[c.setFor(b)][slot] != victim {
+	if f := c.Lookup(b); f != nil && f != victim {
 		panic(fmt.Sprintf("cache: Fill(%v) would duplicate a resident block", b))
 	}
 	if victim.Valid {
@@ -242,7 +237,8 @@ func (c *Cache) Fill(victim *Frame, b addr.Block, data uint64) {
 		if victim.Modified {
 			c.stats.WritebackEv.Inc()
 		}
-		delete(c.index, victim.Block)
+	} else {
+		c.valid++
 	}
 	c.clock++
 	*victim = Frame{
@@ -252,26 +248,14 @@ func (c *Cache) Fill(victim *Frame, b addr.Block, data uint64) {
 		lastUse:  c.clock,
 		filledAt: c.clock,
 	}
-	set := c.setFor(b)
-	for i := range c.sets[set] {
-		if &c.sets[set][i] == victim {
-			c.index[b] = i
-			break
-		}
-	}
 }
 
-// Evict clears a specific frame (obtained from Victim), updating the index
-// if it points at this frame. Unlike Invalidate it cannot be misdirected by
-// the index, so replacement code must use it for the victim.
+// Evict clears a specific frame (obtained from Victim).
 func (c *Cache) Evict(f *Frame) {
 	if !f.Valid {
 		return
 	}
-	set := c.setFor(f.Block)
-	if slot, ok := c.index[f.Block]; ok && &c.sets[set][slot] == f {
-		delete(c.index, f.Block)
-	}
+	c.valid--
 	f.Valid = false
 	f.Modified = false
 	f.Exclusive = false
@@ -285,10 +269,7 @@ func (c *Cache) Invalidate(b addr.Block) bool {
 	if f == nil {
 		return false
 	}
-	f.Valid = false
-	f.Modified = false
-	f.Exclusive = false
-	delete(c.index, b)
+	c.Evict(f)
 	return true
 }
 
@@ -308,18 +289,9 @@ func (c *Cache) Snoop(b addr.Block) *Frame {
 	return f
 }
 
-// Contents returns a snapshot of all valid frames, for invariant checks.
-func (c *Cache) Contents() []Frame {
-	var out []Frame
-	for _, set := range c.sets {
-		for _, f := range set {
-			if f.Valid {
-				out = append(out, f)
-			}
-		}
-	}
-	return out
-}
+// Frames returns every frame, valid or not, in set order, for read-only
+// inspection by invariant checks.
+func (c *Cache) Frames() []Frame { return c.frames }
 
 // Count returns the number of valid frames.
-func (c *Cache) Count() int { return len(c.index) }
+func (c *Cache) Count() int { return c.valid }

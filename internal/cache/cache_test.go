@@ -185,41 +185,53 @@ func TestContentsAndCount(t *testing.T) {
 		t.Fatalf("Count = %d", c.Count())
 	}
 	seen := map[addr.Block]bool{}
-	for _, f := range c.Contents() {
-		seen[f.Block] = true
+	for _, f := range c.Frames() {
+		seen[f.Block] = seen[f.Block] || f.Valid
 	}
 	for b := addr.Block(0); b < 5; b++ {
 		if !seen[b] {
-			t.Fatalf("Contents missing %v", b)
+			t.Fatalf("no valid frame holds %v", b)
 		}
 	}
 }
 
-// Property: under arbitrary fill/invalidate sequences, the index stays
-// consistent with the frames and capacity is never exceeded per set.
+// Property: under arbitrary fill, access, evict and invalidate sequences
+// on any geometry and policy, Lookup and Count agree with a brute-force
+// scan of every frame, and capacity is never exceeded per set.
 func TestPropertyIndexConsistency(t *testing.T) {
 	r := rng.New(17, 3)
 	if err := quick.Check(func(opsRaw uint8) bool {
 		ops := int(opsRaw) + 10
-		c := newTest(4, 2, LRU)
+		sets, assoc := 1+r.Intn(4), 1+r.Intn(4)
+		c := newTest(sets, assoc, ReplacementPolicy(r.Intn(3)))
 		for i := 0; i < ops; i++ {
 			b := addr.Block(r.Intn(32))
-			if r.Bool(0.3) {
+			switch {
+			case r.Bool(0.2):
 				c.Invalidate(b)
-			} else {
-				if c.Lookup(b) == nil {
-					fill(c, b, uint64(i))
-				}
+			case r.Bool(0.1):
+				c.Evict(c.Victim(b))
+			case c.Access(b) == nil:
+				fill(c, b, uint64(i))
 			}
 		}
-		// Every indexed block must be present and vice versa.
-		contents := c.Contents()
-		if len(contents) != c.Count() {
+		valid := 0
+		for _, f := range c.Frames() {
+			if f.Valid {
+				valid++
+			}
+		}
+		if valid != c.Count() || valid > sets*assoc {
 			return false
 		}
-		for _, f := range contents {
-			got := c.Lookup(f.Block)
-			if got == nil || got.Block != f.Block {
+		for b := addr.Block(0); b < 32; b++ {
+			var want *Frame
+			for i := range c.Frames() {
+				if f := &c.Frames()[i]; f.Valid && f.Block == b {
+					want = f
+				}
+			}
+			if c.Lookup(b) != want {
 				return false
 			}
 		}
@@ -243,7 +255,10 @@ func TestPropertyNoDuplicateBlocks(t *testing.T) {
 		}
 	}
 	seen := map[addr.Block]bool{}
-	for _, f := range c.Contents() {
+	for _, f := range c.Frames() {
+		if !f.Valid {
+			continue
+		}
 		if seen[f.Block] {
 			t.Fatalf("duplicate frame for %v", f.Block)
 		}
@@ -294,30 +309,26 @@ func TestEvictByFrameIdentity(t *testing.T) {
 		t.Fatalf("frame not cleared: %+v", f)
 	}
 	if c.Lookup(2) != nil {
-		t.Fatal("index still resolves an evicted block")
+		t.Fatal("Lookup still finds an evicted block")
 	}
 	// Evicting an invalid frame is a no-op.
 	c.Evict(f)
 }
 
-func TestEvictDoesNotDisturbForeignIndexEntry(t *testing.T) {
-	// Construct the duplicate-frame situation Evict exists to handle: a
-	// stale frame for block b plus a fresh indexed frame. Evicting the
-	// stale frame must leave the fresh one reachable.
+// TestFillPanicsOnDuplicateResident pins the guard that keeps a block in
+// at most one frame: filling a resident block into a different frame of
+// its set is a protocol bug, not a replacement.
+func TestFillPanicsOnDuplicateResident(t *testing.T) {
 	c := newTest(1, 2, LRU)
-	fill(c, 2, 1) // frame A
-	stale := c.Lookup(2)
-	// Manually mimic a stale duplicate: invalidate via index, resurrect
-	// the raw frame, then fill block 2 again into the other way.
-	c.Invalidate(2)
-	stale.Valid = true // simulate the historical bug's leftover
-	fill(c, 2, 9)      // frame B, index points here
-	fresh := c.Lookup(2)
-	if fresh == stale {
-		t.Skip("allocator reused the same frame; scenario not constructible here")
+	fill(c, 2, 1)
+	other := c.Victim(3) // the set's free way, not block 2's frame
+	if other == c.Lookup(2) {
+		t.Fatal("victim for another block is block 2's frame")
 	}
-	c.Evict(stale)
-	if got := c.Lookup(2); got == nil || got.Data != 9 {
-		t.Fatalf("fresh frame lost after evicting the stale one: %+v", got)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("filling a resident block into a second frame did not panic")
+		}
+	}()
+	c.Fill(other, 2, 9)
 }

@@ -18,6 +18,7 @@ package classical
 
 import (
 	"fmt"
+	"slices"
 
 	"twobit/internal/addr"
 	"twobit/internal/cache"
@@ -178,33 +179,41 @@ type Controller struct {
 	mem    *memory.Module
 	stats  proto.CtrlStats
 
-	// pending write-throughs awaiting acks, per block (serialized per
-	// block: a second write to the same block queues).
-	writes map[addr.Block][]*wtState
-	// reads queued behind pending writes on the same block: serving them
-	// from stale memory would install a copy the in-flight invalidation
-	// has already passed by.
-	reads map[addr.Block][]int
-	// readsInFlight gates writes: a read being served (its get not yet
-	// sent, delayed by the memory latency) must not be overtaken by an
-	// invalidation broadcast, or the freshly filled copy would escape it.
-	readsInFlight map[addr.Block]int
+	// writes holds the pending write-throughs awaiting acks, in arrival
+	// order. Writes to one block are serialized: the block's first entry
+	// is in progress, later ones queue. Each processor has at most one
+	// write outstanding, so scans are short.
+	writes []*wtState
+	// reads holds read misses queued behind a pending write on their
+	// block, in arrival order: serving them from stale memory would
+	// install a copy the in-flight invalidation has already passed by.
+	reads []queuedRead
+	// readsInFlight gates writes, per local block: a read being served
+	// (its get not yet sent, delayed by the memory latency) must not be
+	// overtaken by an invalidation broadcast, or the freshly filled copy
+	// would escape it. inFlight is their total.
+	readsInFlight []int32
+	inFlight      int
 }
 
 type wtState struct {
+	block   addr.Block
 	cache   int
 	version uint64
 	acks    int
 	need    int
 }
 
+type queuedRead struct {
+	block addr.Block
+	cache int
+}
+
 // New wires a classical controller to the network.
 func New(cfg Config, kernel *sim.Kernel, net network.Network, mem *memory.Module) *Controller {
 	c := &Controller{
 		cfg: cfg, kernel: kernel, net: net, mem: mem,
-		writes:        make(map[addr.Block][]*wtState),
-		reads:         make(map[addr.Block][]int),
-		readsInFlight: make(map[addr.Block]int),
+		readsInFlight: make([]int32, cfg.Space.BlocksInModule(cfg.Module)),
 	}
 	net.Attach(cfg.Topo.CtrlNode(cfg.Module), c)
 	return c
@@ -220,8 +229,10 @@ func (c *Controller) Reset(cfg Config) {
 	c.cfg = cfg
 	c.stats = proto.CtrlStats{}
 	clear(c.writes)
-	clear(c.reads)
+	c.writes = c.writes[:0]
+	c.reads = c.reads[:0]
 	clear(c.readsInFlight)
+	c.inFlight = 0
 }
 
 // CtrlStats implements proto.MemSide.
@@ -231,7 +242,7 @@ func (c *Controller) CtrlStats() *proto.CtrlStats { return &c.stats }
 func (c *Controller) MemVersion(b addr.Block) uint64 { return c.mem.Read(b) }
 
 // Quiescent reports whether no write-through or read is in flight.
-func (c *Controller) Quiescent() bool { return len(c.writes) == 0 && len(c.readsInFlight) == 0 }
+func (c *Controller) Quiescent() bool { return len(c.writes) == 0 && c.inFlight == 0 }
 
 func (c *Controller) node() network.NodeID { return c.cfg.Topo.CtrlNode(c.cfg.Module) }
 
@@ -241,17 +252,17 @@ func (c *Controller) Deliver(src network.NodeID, m msg.Message) {
 	case msg.KindRequest: // read miss
 		c.stats.Requests.Inc()
 		c.stats.ReadMisses.Inc()
-		if len(c.writes[m.Block]) > 0 {
-			c.reads[m.Block] = append(c.reads[m.Block], m.Cache)
+		if c.head(m.Block) >= 0 {
+			c.reads = append(c.reads, queuedRead{block: m.Block, cache: m.Cache})
 			return
 		}
 		c.serveRead(m.Block, m.Cache)
 	case msg.KindWriteThrough:
 		c.stats.Requests.Inc()
 		c.stats.WriteMisses.Inc() // every write is a memory write here
-		q := c.writes[m.Block]
-		c.writes[m.Block] = append(q, &wtState{cache: m.Cache, version: m.Data, need: c.cfg.Topo.Caches - 1})
-		if len(q) == 0 && c.readsInFlight[m.Block] == 0 {
+		queued := c.head(m.Block) >= 0
+		c.writes = append(c.writes, &wtState{block: m.Block, cache: m.Cache, version: m.Data, need: c.cfg.Topo.Caches - 1})
+		if !queued && c.readsInFlight[c.local(m.Block)] == 0 {
 			c.launch(m.Block)
 		}
 	case msg.KindInvAck:
@@ -261,9 +272,21 @@ func (c *Controller) Deliver(src network.NodeID, m msg.Message) {
 	}
 }
 
+func (c *Controller) local(b addr.Block) int { return c.cfg.Space.LocalIndex(b) }
+
+// head returns the index in writes of block b's write in progress, or -1.
+func (c *Controller) head(b addr.Block) int {
+	for i, st := range c.writes {
+		if st.block == b {
+			return i
+		}
+	}
+	return -1
+}
+
 // launch broadcasts the invalidation for the head write on block b.
 func (c *Controller) launch(b addr.Block) {
-	st := c.writes[b][0]
+	st := c.writes[c.head(b)]
 	if st.need == 0 {
 		// Single-processor system: complete immediately.
 		c.complete(b)
@@ -275,11 +298,11 @@ func (c *Controller) launch(b addr.Block) {
 }
 
 func (c *Controller) ack(b addr.Block) {
-	q := c.writes[b]
-	if len(q) == 0 {
+	i := c.head(b)
+	if i < 0 {
 		panic(fmt.Sprintf("classical: controller %d: stray ack for %v", c.cfg.Module, b))
 	}
-	st := q[0]
+	st := c.writes[i]
 	st.acks++
 	if st.acks == st.need {
 		c.complete(b)
@@ -289,7 +312,7 @@ func (c *Controller) ack(b addr.Block) {
 // complete performs the memory write (the store's linearization point),
 // notifies the writer, and launches the next queued write on the block.
 func (c *Controller) complete(b addr.Block) {
-	st := c.writes[b][0]
+	st := c.writes[c.head(b)]
 	c.kernel.After(c.cfg.Lat.Memory, func() {
 		c.mem.Write(b, st.version)
 		if c.cfg.Commit != nil {
@@ -298,34 +321,38 @@ func (c *Controller) complete(b addr.Block) {
 		c.net.Send(c.node(), c.cfg.Topo.CacheNode(st.cache), msg.Message{
 			Kind: msg.KindGet, Block: b, Cache: st.cache, Data: st.version,
 		})
-		q := c.writes[b][1:]
-		if len(q) == 0 {
-			delete(c.writes, b)
-			for _, k := range c.reads[b] {
-				c.serveRead(b, k)
-			}
-			delete(c.reads, b)
-		} else {
-			c.writes[b] = q
+		i := c.head(b)
+		c.writes = slices.Delete(c.writes, i, i+1)
+		if c.head(b) >= 0 {
 			c.launch(b)
+			return
 		}
+		kept := c.reads[:0]
+		for _, r := range c.reads {
+			if r.block == b {
+				c.serveRead(b, r.cache)
+			} else {
+				kept = append(kept, r)
+			}
+		}
+		c.reads = kept
 	})
 }
 
 // serveRead answers a read miss from (now up-to-date) memory, holding any
 // write on the block back until the get is on the wire.
 func (c *Controller) serveRead(b addr.Block, k int) {
-	c.readsInFlight[b]++
+	li := c.local(b)
+	c.readsInFlight[li]++
+	c.inFlight++
 	c.kernel.After(c.cfg.Lat.Memory, func() {
 		c.net.Send(c.node(), c.cfg.Topo.CacheNode(k), msg.Message{
 			Kind: msg.KindGet, Block: b, Cache: k, Data: c.mem.Read(b),
 		})
-		c.readsInFlight[b]--
-		if c.readsInFlight[b] == 0 {
-			delete(c.readsInFlight, b)
-			if len(c.writes[b]) > 0 {
-				c.launch(b)
-			}
+		c.readsInFlight[li]--
+		c.inFlight--
+		if c.readsInFlight[li] == 0 && c.head(b) >= 0 {
+			c.launch(b)
 		}
 	})
 }

@@ -121,17 +121,11 @@ type Controller struct {
 	// consumes it synchronously, so one buffer per controller suffices.
 	exceptScratch []network.NodeID
 
-	// waiting holds, per block, the active transaction's data continuation
-	// (a BROADQUERY answer or an EJECT write-back in flight).
-	waiting map[addr.Block]func(cache int, data uint64)
-	// stashed buffers puts that arrived before their transaction started.
-	stashed map[addr.Block][]stashedPut
-	// awaitingAck holds, per block, the continuation of an MREQUEST grant
-	// awaiting the cache's MACK.
-	awaitingAck map[addr.Block]func(ok bool)
-	// activeSince times each open transaction for occupancy accounting
-	// (and names it, so the async trace span closes under its own name).
-	activeSince map[addr.Block]txnStart
+	// txns holds each block's open transaction: its start (for occupancy
+	// accounting and the async trace span), the continuation it is parked
+	// on — a BROADQUERY answer, an EJECT write-back in flight or an
+	// MREQUEST grant's MACK — and puts that arrived before it started.
+	txns *proto.Txns
 
 	rec           *obs.Recorder
 	comp          obs.Component   // "ctrl<j>" trace track
@@ -147,17 +141,6 @@ type Controller struct {
 	sp       *obs.SpanRecorder
 }
 
-type txnStart struct {
-	at   sim.Time
-	name string
-	cmd  msg.Message // the command being serviced, for state snapshots
-}
-
-type stashedPut struct {
-	cache int
-	data  uint64
-}
-
 // New constructs the controller, wires it to the network, and returns it.
 func New(cfg Config, kernel *sim.Kernel, net network.Network, mem *memory.Module) *Controller {
 	if err := cfg.Topo.Validate(); err != nil {
@@ -167,16 +150,13 @@ func New(cfg Config, kernel *sim.Kernel, net network.Network, mem *memory.Module
 		panic(err)
 	}
 	c := &Controller{
-		cfg:         cfg,
-		kernel:      kernel,
-		net:         net,
-		mem:         mem,
-		dir:         directory.NewTwoBitMap(cfg.Space.BlocksInModule(cfg.Module)),
-		waiting:     make(map[addr.Block]func(int, uint64)),
-		stashed:     make(map[addr.Block][]stashedPut),
-		awaitingAck: make(map[addr.Block]func(bool)),
-		activeSince: make(map[addr.Block]txnStart),
-		comp:        obs.NoComponent,
+		cfg:    cfg,
+		kernel: kernel,
+		net:    net,
+		mem:    mem,
+		dir:    directory.NewTwoBitMap(cfg.Space.BlocksInModule(cfg.Module)),
+		txns:   proto.NewTxns(cfg.Space, cfg.Module),
+		comp:   obs.NoComponent,
 	}
 	if cfg.Obs != nil {
 		c.rec = cfg.Obs
@@ -201,7 +181,7 @@ func New(cfg Config, kernel *sim.Kernel, net network.Network, mem *memory.Module
 	if cfg.TranslationBufferSize > 0 {
 		c.tb = directory.NewTranslationBuffer(cfg.TranslationBufferSize)
 	}
-	c.ser = proto.NewSerializer(cfg.Mode, c.begin)
+	c.ser = proto.NewSerializer(cfg.Mode, cfg.Space, cfg.Module, c.begin)
 	c.calls = proto.NewCallQueue(kernel, c.service)
 	net.Attach(c.node(), c)
 	return c
@@ -232,10 +212,7 @@ func (c *Controller) Reset(cfg Config) {
 	c.ser.Reset(cfg.Mode)
 	c.calls.Reset()
 	c.stats = proto.CtrlStats{}
-	clear(c.waiting)
-	clear(c.stashed)
-	clear(c.awaitingAck)
-	clear(c.activeSince)
+	c.txns.Reset()
 }
 
 // CtrlStats implements proto.MemSide.
@@ -252,8 +229,7 @@ func (c *Controller) MemVersion(b addr.Block) uint64 { return c.mem.Read(b) }
 
 // Quiescent reports whether no transaction is active or queued.
 func (c *Controller) Quiescent() bool {
-	return c.ser.ActiveCount() == 0 && c.ser.QueuedLen() == 0 &&
-		len(c.waiting) == 0 && len(c.awaitingAck) == 0
+	return c.ser.ActiveCount() == 0 && c.ser.QueuedLen() == 0 && !c.txns.Parked()
 }
 
 func (c *Controller) node() network.NodeID { return c.cfg.Topo.CtrlNode(c.cfg.Module) }
@@ -300,11 +276,10 @@ func (c *Controller) Deliver(src network.NodeID, m msg.Message) {
 	case msg.KindPut:
 		c.handlePut(m)
 	case msg.KindMAck:
-		onAck := c.awaitingAck[m.Block]
+		onAck := c.txns.TakeAck(m.Block)
 		if onAck == nil {
 			panic(fmt.Sprintf("core: controller %d: stray %v", c.cfg.Module, m))
 		}
-		delete(c.awaitingAck, m.Block)
 		onAck(m.Ok)
 	default:
 		panic(fmt.Sprintf("core: controller %d: unexpected %v", c.cfg.Module, m))
@@ -321,8 +296,7 @@ func (c *Controller) submit(src network.NodeID, m msg.Message) {
 // handlePut routes a data transfer to the transaction awaiting it, or
 // stashes it for a queued EJECT("write").
 func (c *Controller) handlePut(m msg.Message) {
-	if onData := c.waiting[m.Block]; onData != nil {
-		delete(c.waiting, m.Block)
+	if onData := c.txns.TakeData(m.Block); onData != nil {
 		// If this put belongs to an in-flight eviction whose EJECT is still
 		// queued, the active transaction subsumes its write-back: delete it.
 		c.ser.DeleteQueued(m.Block, func(p proto.Pending) bool {
@@ -331,15 +305,14 @@ func (c *Controller) handlePut(m msg.Message) {
 		onData(m.Cache, m.Data)
 		return
 	}
-	c.stashed[m.Block] = append(c.stashed[m.Block], stashedPut{cache: m.Cache, data: m.Data})
+	c.txns.Stash(m.Block, m.Cache, m.Data)
 }
 
 // begin starts servicing one command after the controller service time.
 func (c *Controller) begin(p proto.Pending) {
-	start := txnStart{at: c.kernel.Now(), name: txnName(p.M.Kind), cmd: p.M}
-	c.activeSince[p.M.Block] = start
+	c.txns.Begin(p.M.Block, c.kernel.Now(), p.M)
 	if c.rec != nil {
-		c.rec.AsyncBegin(c.comp, start.name, int64(p.M.Block))
+		c.rec.AsyncBegin(c.comp, txnName(p.M.Kind), int64(p.M.Block))
 	}
 	c.calls.Service(c.cfg.Lat.CtrlService, p)
 }
@@ -524,7 +497,7 @@ func (c *Controller) mrequest(p proto.Pending) {
 		c.send(c.cfg.Topo.CacheNode(k), msg.Message{
 			Kind: msg.KindMGranted, Block: a, Cache: k, Ok: true,
 		})
-		c.awaitingAck[a] = func(ok bool) {
+		c.txns.AwaitAck(a, func(ok bool) {
 			if ok {
 				c.setState(a, directory.PresentM)
 				c.tbRecord(a, []int{k})
@@ -550,7 +523,7 @@ func (c *Controller) mrequest(p proto.Pending) {
 				c.tbDrop(a)
 			}
 			c.done(a)
-		}
+		})
 	}
 	switch c.State(a) {
 	case directory.Present1:
@@ -661,20 +634,14 @@ func (c *Controller) invalidate(a addr.Block, k int) {
 // a BROADQUERY broadcast, or a directed PURGE on a translation-buffer hit.
 // onData runs when the data arrives (possibly via a racing eviction).
 func (c *Controller) query(a addr.Block, rw msg.RW, k int, onData func(owner int, data uint64)) {
-	if puts := c.stashed[a]; len(puts) > 0 && !c.skipStash() {
+	if put, ok := c.popStash(a); ok {
 		// The owner's eviction already delivered the data (its EJECT was
 		// queued behind us and its put arrived early). Consume it and
 		// delete the now-subsumed EJECT.
-		put := puts[0]
-		if len(puts) == 1 {
-			delete(c.stashed, a)
-		} else {
-			c.stashed[a] = puts[1:]
-		}
 		c.ser.DeleteQueued(a, func(p proto.Pending) bool {
-			return p.M.Kind == msg.KindEject && p.M.RW == msg.Write && p.M.Cache == put.cache
+			return p.M.Kind == msg.KindEject && p.M.RW == msg.Write && p.M.Cache == put.Cache
 		})
-		c.calls.Data(0, onData, put.cache, put.data)
+		c.calls.Data(0, onData, put.Cache, put.Data)
 		return
 	}
 	if owners, ok := c.tbLookup(a); ok && len(owners) > 0 {
@@ -701,37 +668,33 @@ func (c *Controller) query(a addr.Block, rw msg.RW, k int, onData func(owner int
 // await registers the active transaction's data continuation, consuming a
 // stashed put if one is already buffered.
 func (c *Controller) await(a addr.Block, onData func(owner int, data uint64)) {
-	if puts := c.stashed[a]; len(puts) > 0 && !c.skipStash() {
-		put := puts[0]
-		if len(puts) == 1 {
-			delete(c.stashed, a)
-		} else {
-			c.stashed[a] = puts[1:]
-		}
-		c.calls.Data(0, onData, put.cache, put.data)
+	if put, ok := c.popStash(a); ok {
+		c.calls.Data(0, onData, put.Cache, put.Data)
 		return
 	}
-	if _, dup := c.waiting[a]; dup {
+	if !c.txns.Await(a, onData) {
 		panic(fmt.Sprintf("core: controller %d: two waiters for %v", c.cfg.Module, a))
 	}
-	c.waiting[a] = onData
 }
 
-// skipStash reports whether the SkipStashedPutConsume defect is injected.
-func (c *Controller) skipStash() bool {
-	return c.cfg.Hooks != nil && c.cfg.Hooks.SkipStashedPutConsume
+// popStash consumes the oldest put stashed for a, unless the
+// SkipStashedPutConsume defect is injected.
+func (c *Controller) popStash(a addr.Block) (proto.StashedPut, bool) {
+	if c.cfg.Hooks != nil && c.cfg.Hooks.SkipStashedPutConsume {
+		return proto.StashedPut{}, false
+	}
+	return c.txns.PopStash(a)
 }
 
 // done completes the active transaction on block a.
 func (c *Controller) done(a addr.Block) {
-	if start, ok := c.activeSince[a]; ok {
-		busy := uint64(c.kernel.Now() - start.at)
+	if since, cmd, ok := c.txns.End(a); ok {
+		busy := uint64(c.kernel.Now() - since)
 		c.stats.BusyCycles.Add(busy)
 		c.obsTxn.Observe(busy)
 		if c.rec != nil {
-			c.rec.AsyncEnd(c.comp, start.name, int64(a))
+			c.rec.AsyncEnd(c.comp, txnName(cmd.Kind), int64(a))
 		}
-		delete(c.activeSince, a)
 	}
 	c.ser.Done(a)
 }

@@ -4,6 +4,7 @@ import (
 	"twobit/internal/addr"
 	"twobit/internal/directory"
 	"twobit/internal/msg"
+	"twobit/internal/proto"
 )
 
 // BlockSnapshot is the controller's observable state for one block, for
@@ -37,10 +38,7 @@ type BlockSnapshot struct {
 }
 
 // StashedPut is one buffered early put.
-type StashedPut struct {
-	Cache int
-	Data  uint64
-}
+type StashedPut = proto.StashedPut
 
 // BlockSnapshot returns the observable controller state for block b.
 func (c *Controller) BlockSnapshot(b addr.Block) BlockSnapshot {
@@ -48,14 +46,12 @@ func (c *Controller) BlockSnapshot(b addr.Block) BlockSnapshot {
 		State: c.State(b),
 		Mem:   c.mem.Read(b),
 	}
-	if start, ok := c.activeSince[b]; ok {
-		s.Active = true
-		s.ActiveCmd = start.cmd
-	}
-	_, s.Waiting = c.waiting[b]
-	_, s.AwaitingAck = c.awaitingAck[b]
-	for _, p := range c.stashed[b] {
-		s.Stashed = append(s.Stashed, StashedPut{Cache: p.cache, Data: p.data})
+	if t := c.txns.Get(b); t != nil {
+		s.Active = t.Active
+		s.ActiveCmd = t.Cmd
+		s.Waiting = t.OnData != nil
+		s.AwaitingAck = t.OnAck != nil
+		s.Stashed = append(s.Stashed, t.Stashed...)
 	}
 	for _, p := range c.ser.QueuedFor(b) {
 		s.Queued = append(s.Queued, p.M)

@@ -271,7 +271,7 @@ func TestPropertyTranslationBufferNeverExceedsCapacity(t *testing.T) {
 func rngBlock(r *rng.PCG) addr.Block { return addr.Block(r.Intn(64)) }
 
 func TestDupTagStore(t *testing.T) {
-	d := NewDupTagStore(3)
+	d := NewDupTagStore(3, 16)
 	if d.Caches() != 3 {
 		t.Fatalf("Caches = %d", d.Caches())
 	}
@@ -303,7 +303,7 @@ func TestDupTagStore(t *testing.T) {
 }
 
 func TestDupTagEvictClearsModified(t *testing.T) {
-	d := NewDupTagStore(2)
+	d := NewDupTagStore(2, 16)
 	d.NoteModify(1, 9)
 	d.NoteEvict(1, 9)
 	if d.ModifiedBy(9) != -1 {

@@ -37,15 +37,10 @@ type Controller struct {
 	ser    *proto.Serializer
 	stats  proto.CtrlStats
 
-	waiting map[addr.Block]func(cache int, data uint64)
-	stashed map[addr.Block][]stashedPut
-	// activeSince times each open transaction for occupancy accounting.
-	activeSince map[addr.Block]sim.Time
-}
-
-type stashedPut struct {
-	cache int
-	data  uint64
+	// txns holds each block's open transaction: its start (for occupancy
+	// accounting), the data continuation it is parked on, and puts that
+	// arrived before it started.
+	txns *proto.Txns
 }
 
 // New wires the controller (as module 0's controller node) to the network.
@@ -54,17 +49,15 @@ func New(cfg Config, kernel *sim.Kernel, net network.Network, mem *memory.Module
 		panic("duplication: the central controller requires exactly one module")
 	}
 	c := &Controller{
-		cfg:         cfg,
-		kernel:      kernel,
-		net:         net,
-		mem:         mem,
-		dup:         directory.NewDupTagStore(cfg.Topo.Caches),
-		waiting:     make(map[addr.Block]func(int, uint64)),
-		stashed:     make(map[addr.Block][]stashedPut),
-		activeSince: make(map[addr.Block]sim.Time),
+		cfg:    cfg,
+		kernel: kernel,
+		net:    net,
+		mem:    mem,
+		dup:    directory.NewDupTagStore(cfg.Topo.Caches, cfg.Space.Blocks),
+		txns:   proto.NewTxns(cfg.Space, 0),
 	}
 	// The published design services one command at a time: SingleCommand.
-	c.ser = proto.NewSerializer(proto.SingleCommand, c.begin)
+	c.ser = proto.NewSerializer(proto.SingleCommand, cfg.Space, 0, c.begin)
 	net.Attach(c.node(), c)
 	return c
 }
@@ -80,9 +73,7 @@ func (c *Controller) Reset(cfg Config) {
 	c.dup.Reset()
 	c.ser.Reset(proto.SingleCommand)
 	c.stats = proto.CtrlStats{}
-	clear(c.waiting)
-	clear(c.stashed)
-	clear(c.activeSince)
+	c.txns.Reset()
 }
 
 // CtrlStats implements proto.MemSide.
@@ -94,6 +85,9 @@ func (c *Controller) State(b addr.Block) directory.State { return c.dup.GlobalSt
 // Holders returns the exact holder set, for invariants.
 func (c *Controller) Holders(b addr.Block) []int { return c.dup.Holders(b) }
 
+// Holds reports whether cache k holds block b, for invariants.
+func (c *Controller) Holds(k int, b addr.Block) bool { return c.dup.Holds(k, b) }
+
 // ModifiedBy returns the modifying cache or -1, for invariants.
 func (c *Controller) ModifiedBy(b addr.Block) int { return c.dup.ModifiedBy(b) }
 
@@ -102,7 +96,7 @@ func (c *Controller) MemVersion(b addr.Block) uint64 { return c.mem.Read(b) }
 
 // Quiescent reports whether no transaction is active or queued.
 func (c *Controller) Quiescent() bool {
-	return c.ser.ActiveCount() == 0 && c.ser.QueuedLen() == 0 && len(c.waiting) == 0
+	return c.ser.ActiveCount() == 0 && c.ser.QueuedLen() == 0 && !c.txns.Parked()
 }
 
 func (c *Controller) node() network.NodeID                   { return c.cfg.Topo.CtrlNode(0) }
@@ -125,8 +119,7 @@ func (c *Controller) Deliver(src network.NodeID, m msg.Message) {
 }
 
 func (c *Controller) handlePut(m msg.Message) {
-	if onData := c.waiting[m.Block]; onData != nil {
-		delete(c.waiting, m.Block)
+	if onData := c.txns.TakeData(m.Block); onData != nil {
 		removed := c.ser.DeleteQueued(m.Block, func(p proto.Pending) bool {
 			return p.M.Kind == msg.KindEject && p.M.RW == msg.Write && p.M.Cache == m.Cache
 		})
@@ -136,11 +129,11 @@ func (c *Controller) handlePut(m msg.Message) {
 		onData(m.Cache, m.Data)
 		return
 	}
-	c.stashed[m.Block] = append(c.stashed[m.Block], stashedPut{cache: m.Cache, data: m.Data})
+	c.txns.Stash(m.Block, m.Cache, m.Data)
 }
 
 func (c *Controller) begin(p proto.Pending) {
-	c.activeSince[p.M.Block] = c.kernel.Now()
+	c.txns.Begin(p.M.Block, c.kernel.Now(), p.M)
 	// The duplicated directories must all be searched; charge one service
 	// interval per cache directory plus the base service time. This is the
 	// "large amount of processing power" the paper notes the scheme needs.
@@ -219,14 +212,7 @@ func (c *Controller) writeMiss(p proto.Pending) {
 func (c *Controller) mrequest(p proto.Pending) {
 	c.stats.MRequests.Inc()
 	k, a := p.M.Cache, p.M.Block
-	holds := false
-	for _, h := range c.dup.Holders(a) {
-		if h == k {
-			holds = true
-			break
-		}
-	}
-	if !holds || c.dup.ModifiedBy(a) >= 0 {
+	if !c.dup.Holds(k, a) || c.dup.ModifiedBy(a) >= 0 {
 		c.stats.MGrantDenied.Inc()
 		c.send(c.cfg.Topo.CacheNode(k), msg.Message{Kind: msg.KindMGranted, Block: a, Cache: k, Ok: false})
 		c.done(a)
@@ -272,18 +258,12 @@ func (c *Controller) invalidateHolders(a addr.Block, k int) {
 }
 
 func (c *Controller) purge(a addr.Block, rw msg.RW, owner int, onData func(int, uint64)) {
-	if puts := c.stashed[a]; len(puts) > 0 {
-		put := puts[0]
-		if len(puts) == 1 {
-			delete(c.stashed, a)
-		} else {
-			c.stashed[a] = puts[1:]
-		}
+	if put, ok := c.txns.PopStash(a); ok {
 		c.ser.DeleteQueued(a, func(p proto.Pending) bool {
-			return p.M.Kind == msg.KindEject && p.M.RW == msg.Write && p.M.Cache == put.cache
+			return p.M.Kind == msg.KindEject && p.M.RW == msg.Write && p.M.Cache == put.Cache
 		})
-		c.dup.NoteEvict(put.cache, a)
-		c.kernel.After(0, func() { onData(put.cache, put.data) })
+		c.dup.NoteEvict(put.Cache, a)
+		c.kernel.After(0, func() { onData(put.Cache, put.Data) })
 		return
 	}
 	c.stats.DirectedSends.Inc()
@@ -292,26 +272,18 @@ func (c *Controller) purge(a addr.Block, rw msg.RW, owner int, onData func(int, 
 }
 
 func (c *Controller) await(a addr.Block, onData func(int, uint64)) {
-	if puts := c.stashed[a]; len(puts) > 0 {
-		put := puts[0]
-		if len(puts) == 1 {
-			delete(c.stashed, a)
-		} else {
-			c.stashed[a] = puts[1:]
-		}
-		c.kernel.After(0, func() { onData(put.cache, put.data) })
+	if put, ok := c.txns.PopStash(a); ok {
+		c.kernel.After(0, func() { onData(put.Cache, put.Data) })
 		return
 	}
-	if _, dup := c.waiting[a]; dup {
+	if !c.txns.Await(a, onData) {
 		panic(fmt.Sprintf("duplication: two waiters for %v", a))
 	}
-	c.waiting[a] = onData
 }
 
 func (c *Controller) done(a addr.Block) {
-	if since, ok := c.activeSince[a]; ok {
+	if since, _, ok := c.txns.End(a); ok {
 		c.stats.BusyCycles.Add(uint64(c.kernel.Now() - since))
-		delete(c.activeSince, a)
 	}
 	c.ser.Done(a)
 }

@@ -57,27 +57,16 @@ type Controller struct {
 	calls  *proto.CallQueue
 	stats  proto.CtrlStats
 
-	waiting map[addr.Block]func(cache int, data uint64)
-	stashed map[addr.Block][]stashedPut
-	// activeSince times each open transaction for occupancy accounting
-	// (and records the command it services, for state snapshots).
-	activeSince map[addr.Block]txnStart
+	// txns holds each block's open transaction: its start (for occupancy
+	// accounting and state snapshots), the data continuation it is parked
+	// on, and puts that arrived before it started.
+	txns *proto.Txns
 
 	sp *obs.SpanRecorder
 	// tsCensus is the machine-wide directory-state census, indexed by
 	// the two-bit directory.State the exact map projects to; all nil
 	// unless windows were enabled on the recorder.
 	tsCensus [4]*obs.TimeSeries
-}
-
-type txnStart struct {
-	at  sim.Time
-	cmd msg.Message
-}
-
-type stashedPut struct {
-	cache int
-	data  uint64
 }
 
 // New constructs the controller and wires it to the network.
@@ -89,14 +78,12 @@ func New(cfg Config, kernel *sim.Kernel, net network.Network, mem *memory.Module
 		panic(err)
 	}
 	c := &Controller{
-		cfg:         cfg,
-		kernel:      kernel,
-		net:         net,
-		mem:         mem,
-		dir:         directory.NewFullMap(cfg.Space.BlocksInModule(cfg.Module), cfg.Topo.Caches),
-		waiting:     make(map[addr.Block]func(int, uint64)),
-		stashed:     make(map[addr.Block][]stashedPut),
-		activeSince: make(map[addr.Block]txnStart),
+		cfg:    cfg,
+		kernel: kernel,
+		net:    net,
+		mem:    mem,
+		dir:    directory.NewFullMap(cfg.Space.BlocksInModule(cfg.Module), cfg.Topo.Caches),
+		txns:   proto.NewTxns(cfg.Space, cfg.Module),
 	}
 	c.sp = cfg.Obs.Spans()
 	if ts := cfg.Obs.Windows(); ts != nil {
@@ -106,7 +93,7 @@ func New(cfg Config, kernel *sim.Kernel, net network.Network, mem *memory.Module
 		// Every block this module owns starts Absent.
 		c.tsCensus[directory.Absent].GaugeAdd(int64(cfg.Space.BlocksInModule(cfg.Module)))
 	}
-	c.ser = proto.NewSerializer(cfg.Mode, c.begin)
+	c.ser = proto.NewSerializer(cfg.Mode, cfg.Space, cfg.Module, c.begin)
 	c.calls = proto.NewCallQueue(kernel, c.service)
 	net.Attach(c.node(), c)
 	return c
@@ -129,9 +116,7 @@ func (c *Controller) Reset(cfg Config) {
 	c.ser.Reset(cfg.Mode)
 	c.calls.Reset()
 	c.stats = proto.CtrlStats{}
-	clear(c.waiting)
-	clear(c.stashed)
-	clear(c.activeSince)
+	c.txns.Reset()
 }
 
 // CtrlStats implements proto.MemSide.
@@ -151,7 +136,7 @@ func (c *Controller) MemVersion(b addr.Block) uint64 { return c.mem.Read(b) }
 
 // Quiescent reports whether no transaction is active or queued.
 func (c *Controller) Quiescent() bool {
-	return c.ser.ActiveCount() == 0 && c.ser.QueuedLen() == 0 && len(c.waiting) == 0
+	return c.ser.ActiveCount() == 0 && c.ser.QueuedLen() == 0 && !c.txns.Parked()
 }
 
 func (c *Controller) node() network.NodeID                   { return c.cfg.Topo.CtrlNode(c.cfg.Module) }
@@ -203,8 +188,7 @@ func (c *Controller) Deliver(src network.NodeID, m msg.Message) {
 }
 
 func (c *Controller) handlePut(m msg.Message) {
-	if onData := c.waiting[m.Block]; onData != nil {
-		delete(c.waiting, m.Block)
+	if onData := c.txns.TakeData(m.Block); onData != nil {
 		removed := c.ser.DeleteQueued(m.Block, func(p proto.Pending) bool {
 			return p.M.Kind == msg.KindEject && p.M.RW == msg.Write && p.M.Cache == m.Cache
 		})
@@ -220,11 +204,11 @@ func (c *Controller) handlePut(m msg.Message) {
 		onData(m.Cache, m.Data)
 		return
 	}
-	c.stashed[m.Block] = append(c.stashed[m.Block], stashedPut{cache: m.Cache, data: m.Data})
+	c.txns.Stash(m.Block, m.Cache, m.Data)
 }
 
 func (c *Controller) begin(p proto.Pending) {
-	c.activeSince[p.M.Block] = txnStart{at: c.kernel.Now(), cmd: p.M}
+	c.txns.Begin(p.M.Block, c.kernel.Now(), p.M)
 	c.calls.Service(c.cfg.Lat.CtrlService, p)
 }
 
@@ -484,23 +468,17 @@ func (c *Controller) invalidateHolders(a addr.Block, k int) {
 // purge sends the directed PURGE(a,owner,rw) and registers the data
 // continuation (which may be satisfied by a racing eviction's put).
 func (c *Controller) purge(a addr.Block, rw msg.RW, owner int, onData func(int, uint64)) {
-	if puts := c.stashed[a]; len(puts) > 0 {
-		put := puts[0]
-		if len(puts) == 1 {
-			delete(c.stashed, a)
-		} else {
-			c.stashed[a] = puts[1:]
-		}
+	if put, ok := c.txns.PopStash(a); ok {
 		c.ser.DeleteQueued(a, func(p proto.Pending) bool {
-			return p.M.Kind == msg.KindEject && p.M.RW == msg.Write && p.M.Cache == put.cache
+			return p.M.Kind == msg.KindEject && p.M.RW == msg.Write && p.M.Cache == put.Cache
 		})
 		// The eviction's write-back subsumed the purge: the owner's copy is
 		// gone, so clear its presence bit here.
 		li := c.local(a)
 		pre := c.censusPre(li)
-		c.dir.SetPresent(li, put.cache, false)
+		c.dir.SetPresent(li, put.Cache, false)
 		c.censusMoved(li, pre)
-		c.calls.Data(0, onData, put.cache, put.data)
+		c.calls.Data(0, onData, put.Cache, put.Data)
 		return
 	}
 	c.stats.DirectedSends.Inc()
@@ -509,26 +487,18 @@ func (c *Controller) purge(a addr.Block, rw msg.RW, owner int, onData func(int, 
 }
 
 func (c *Controller) await(a addr.Block, onData func(int, uint64)) {
-	if puts := c.stashed[a]; len(puts) > 0 {
-		put := puts[0]
-		if len(puts) == 1 {
-			delete(c.stashed, a)
-		} else {
-			c.stashed[a] = puts[1:]
-		}
-		c.calls.Data(0, onData, put.cache, put.data)
+	if put, ok := c.txns.PopStash(a); ok {
+		c.calls.Data(0, onData, put.Cache, put.Data)
 		return
 	}
-	if _, dup := c.waiting[a]; dup {
+	if !c.txns.Await(a, onData) {
 		panic(fmt.Sprintf("fullmap: controller %d: two waiters for %v", c.cfg.Module, a))
 	}
-	c.waiting[a] = onData
 }
 
 func (c *Controller) done(a addr.Block) {
-	if since, ok := c.activeSince[a]; ok {
-		c.stats.BusyCycles.Add(uint64(c.kernel.Now() - since.at))
-		delete(c.activeSince, a)
+	if since, _, ok := c.txns.End(a); ok {
+		c.stats.BusyCycles.Add(uint64(c.kernel.Now() - since))
 	}
 	c.ser.Done(a)
 }
@@ -548,10 +518,7 @@ type BlockSnapshot struct {
 }
 
 // StashedPut is one buffered early put.
-type StashedPut struct {
-	Cache int
-	Data  uint64
-}
+type StashedPut = proto.StashedPut
 
 // BlockSnapshot returns the observable controller state for block b.
 func (c *Controller) BlockSnapshot(b addr.Block) BlockSnapshot {
@@ -560,13 +527,11 @@ func (c *Controller) BlockSnapshot(b addr.Block) BlockSnapshot {
 		Modified: c.Modified(b),
 		Mem:      c.mem.Read(b),
 	}
-	if start, ok := c.activeSince[b]; ok {
-		s.Active = true
-		s.ActiveCmd = start.cmd
-	}
-	_, s.Waiting = c.waiting[b]
-	for _, p := range c.stashed[b] {
-		s.Stashed = append(s.Stashed, StashedPut{Cache: p.cache, Data: p.data})
+	if t := c.txns.Get(b); t != nil {
+		s.Active = t.Active
+		s.ActiveCmd = t.Cmd
+		s.Waiting = t.OnData != nil
+		s.Stashed = append(s.Stashed, t.Stashed...)
 	}
 	for _, p := range c.ser.QueuedFor(b) {
 		s.Queued = append(s.Queued, p.M)

@@ -52,9 +52,9 @@ type ContentionRecorder struct {
 	refs *stats.TopK
 	invs *stats.TopK
 
-	fs     []fsEntry
-	fsIdx  map[uint64]int // block → index into fs; never iterated
-	fsK    int
+	fs    []fsEntry
+	fsIdx map[uint64]int // block → index into fs; never iterated
+	fsK   int
 }
 
 type fsEntry struct {

@@ -42,13 +42,17 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
+// testSpace is a one-module address space covering every block the
+// serializer tests use.
+var testSpace = addr.Space{Blocks: 16, Modules: 1}
+
 func pendFor(b addr.Block, kind msg.Kind, cache int) Pending {
 	return Pending{Src: network.NodeID(cache), M: msg.Message{Kind: kind, Block: b, Cache: cache}}
 }
 
 func TestSerializerPerBlockConcurrency(t *testing.T) {
 	var started []Pending
-	s := NewSerializer(PerBlock, func(p Pending) { started = append(started, p) })
+	s := NewSerializer(PerBlock, testSpace, 0, func(p Pending) { started = append(started, p) })
 	s.Submit(pendFor(1, msg.KindRequest, 0))
 	s.Submit(pendFor(2, msg.KindRequest, 1)) // distinct block: runs concurrently
 	s.Submit(pendFor(1, msg.KindRequest, 2)) // same block: queues
@@ -71,7 +75,7 @@ func TestSerializerPerBlockConcurrency(t *testing.T) {
 
 func TestSerializerSingleCommandMode(t *testing.T) {
 	var started []Pending
-	s := NewSerializer(SingleCommand, func(p Pending) { started = append(started, p) })
+	s := NewSerializer(SingleCommand, testSpace, 0, func(p Pending) { started = append(started, p) })
 	s.Submit(pendFor(1, msg.KindRequest, 0))
 	s.Submit(pendFor(2, msg.KindRequest, 1)) // distinct block still queues
 	if len(started) != 1 || s.QueuedLen() != 1 {
@@ -88,7 +92,7 @@ func TestSerializerDeleteQueuedMRequests(t *testing.T) {
 	// The §3.2.5 scenario: MREQUEST(i,a) is being serviced, MREQUEST(j,a)
 	// is queued; after BROADINV(a,i), the queued one must be deletable.
 	var started []Pending
-	s := NewSerializer(PerBlock, func(p Pending) { started = append(started, p) })
+	s := NewSerializer(PerBlock, testSpace, 0, func(p Pending) { started = append(started, p) })
 	s.Submit(pendFor(7, msg.KindMRequest, 0)) // i
 	s.Submit(pendFor(7, msg.KindMRequest, 1)) // j, queued
 	s.Submit(pendFor(7, msg.KindRequest, 2))  // unrelated request, queued
@@ -107,7 +111,7 @@ func TestSerializerDeleteQueuedMRequests(t *testing.T) {
 
 func TestSerializerDeleteQueuedSingleCommand(t *testing.T) {
 	var started []Pending
-	s := NewSerializer(SingleCommand, func(p Pending) { started = append(started, p) })
+	s := NewSerializer(SingleCommand, testSpace, 0, func(p Pending) { started = append(started, p) })
 	s.Submit(pendFor(7, msg.KindRequest, 0))
 	s.Submit(pendFor(7, msg.KindMRequest, 1))
 	s.Submit(pendFor(9, msg.KindMRequest, 2)) // other block must survive
@@ -126,7 +130,7 @@ func TestSerializerSynchronousCompletionNoRecursion(t *testing.T) {
 	// without stack growth or missed entries.
 	var s *Serializer
 	count := 0
-	s = NewSerializer(PerBlock, func(p Pending) {
+	s = NewSerializer(PerBlock, testSpace, 0, func(p Pending) {
 		count++
 		s.Done(p.M.Block)
 	})
@@ -142,7 +146,7 @@ func TestSerializerSynchronousCompletionNoRecursion(t *testing.T) {
 }
 
 func TestSerializerDonePanicsWithoutActive(t *testing.T) {
-	s := NewSerializer(PerBlock, func(Pending) {})
+	s := NewSerializer(PerBlock, testSpace, 0, func(Pending) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Done without active transaction did not panic")
@@ -154,7 +158,7 @@ func TestSerializerDonePanicsWithoutActive(t *testing.T) {
 func TestSerializerFIFOWithinBlock(t *testing.T) {
 	var order []int
 	var s *Serializer
-	s = NewSerializer(PerBlock, func(p Pending) { order = append(order, p.M.Cache) })
+	s = NewSerializer(PerBlock, testSpace, 0, func(p Pending) { order = append(order, p.M.Cache) })
 	for i := 0; i < 5; i++ {
 		s.Submit(pendFor(1, msg.KindRequest, i))
 	}

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 
 	"twobit/internal/addr"
 	"twobit/internal/msg"
@@ -50,55 +51,51 @@ type StartFunc func(p Pending)
 type Serializer struct {
 	mode  ConcurrencyMode
 	start StartFunc
+	space addr.Space
 
-	busy   map[addr.Block]bool
-	queues map[addr.Block][]Pending
-	global []Pending // SingleCommand queue
+	busy   []bool    // by local block: a transaction is active (PerBlock)
+	queue  []Pending // every queued command, in arrival order
 	active int       // active transactions (0 or 1 in SingleCommand)
 
 	ready       []Pending
 	dispatching bool
-
-	queued int // total queued entries, for high-water accounting
 }
 
-// NewSerializer returns a serializer in the given mode. start must be
-// non-nil.
-func NewSerializer(mode ConcurrencyMode, start StartFunc) *Serializer {
+// NewSerializer returns a serializer in the given mode for the blocks of
+// module module of space. start must be non-nil.
+func NewSerializer(mode ConcurrencyMode, space addr.Space, module int, start StartFunc) *Serializer {
 	if start == nil {
 		panic("proto: nil StartFunc")
 	}
 	return &Serializer{
-		mode:   mode,
-		start:  start,
-		busy:   make(map[addr.Block]bool),
-		queues: make(map[addr.Block][]Pending),
+		mode:  mode,
+		start: start,
+		space: space,
+		busy:  make([]bool, space.BlocksInModule(module)),
 	}
 }
 
-// Reset empties the serializer and switches it to mode, reusing the busy
-// and queue maps and the ready slice. The StartFunc stays bound — it is a
-// method value on the owning controller, which outlives the reset.
+// Reset empties the serializer and switches it to mode, reusing its
+// slices. The StartFunc stays bound — it is a method value on the owning
+// controller, which outlives the reset.
 func (s *Serializer) Reset(mode ConcurrencyMode) {
 	s.mode = mode
 	clear(s.busy)
-	clear(s.queues)
-	s.global = s.global[:0]
+	s.queue = s.queue[:0]
 	s.active = 0
 	s.ready = s.ready[:0]
 	s.dispatching = false
-	s.queued = 0
 }
 
 // QueuedLen returns the number of queued (not yet started) commands.
-func (s *Serializer) QueuedLen() int { return s.queued }
+func (s *Serializer) QueuedLen() int { return len(s.queue) }
 
 // Active reports whether a transaction is in progress for block b.
 func (s *Serializer) Active(b addr.Block) bool {
 	if s.mode == SingleCommand {
 		return s.active > 0
 	}
-	return s.busy[b]
+	return s.busy[s.space.LocalIndex(b)]
 }
 
 // ActiveCount returns the number of in-progress transactions.
@@ -107,61 +104,34 @@ func (s *Serializer) ActiveCount() int { return s.active }
 // Submit offers a command for service: it starts immediately if its block
 // (or the controller, in SingleCommand mode) is free, otherwise it queues.
 func (s *Serializer) Submit(p Pending) {
-	if s.canRun(p.M.Block) {
-		s.admit(p)
+	if s.Active(p.M.Block) {
+		s.queue = append(s.queue, p)
 	} else {
-		s.enqueue(p)
+		s.admit(p)
 	}
 	s.dispatch()
 }
 
-func (s *Serializer) canRun(b addr.Block) bool {
-	if s.mode == SingleCommand {
-		return s.active == 0
-	}
-	return !s.busy[b]
-}
-
 func (s *Serializer) admit(p Pending) {
 	s.active++
-	s.busy[p.M.Block] = true
+	s.busy[s.space.LocalIndex(p.M.Block)] = true
 	s.ready = append(s.ready, p)
 }
 
-func (s *Serializer) enqueue(p Pending) {
-	s.queued++
-	if s.mode == SingleCommand {
-		s.global = append(s.global, p)
-	} else {
-		s.queues[p.M.Block] = append(s.queues[p.M.Block], p)
-	}
-}
-
 // Done marks the transaction on block b complete and starts the next
-// eligible queued command, if any.
+// eligible queued command, if any: the oldest queued command in
+// SingleCommand mode, the oldest for b in PerBlock mode.
 func (s *Serializer) Done(b addr.Block) {
 	if !s.Active(b) {
 		panic(fmt.Sprintf("proto: Done(%v) without active transaction", b))
 	}
 	s.active--
-	delete(s.busy, b)
-	if s.mode == SingleCommand {
-		if len(s.global) > 0 {
-			p := s.global[0]
-			s.global = s.global[1:]
-			s.queued--
+	s.busy[s.space.LocalIndex(b)] = false
+	for i, p := range s.queue {
+		if s.mode == SingleCommand || p.M.Block == b {
+			s.queue = slices.Delete(s.queue, i, i+1)
 			s.admit(p)
-		}
-	} else {
-		if q := s.queues[b]; len(q) > 0 {
-			p := q[0]
-			if len(q) == 1 {
-				delete(s.queues, b)
-			} else {
-				s.queues[b] = q[1:]
-			}
-			s.queued--
-			s.admit(p)
+			break
 		}
 	}
 	s.dispatch()
@@ -171,32 +141,11 @@ func (s *Serializer) Done(b addr.Block) {
 // which match returns true, returning how many were removed. This is the
 // §3.2.5 "Deletes MREQUEST(j,a) from the queue" operation.
 func (s *Serializer) DeleteQueued(b addr.Block, match func(Pending) bool) int {
-	filter := func(q []Pending) ([]Pending, int) {
-		kept := q[:0]
-		removed := 0
-		for _, p := range q {
-			if p.M.Block == b && match(p) {
-				removed++
-			} else {
-				kept = append(kept, p)
-			}
-		}
-		return kept, removed
-	}
-	var removed int
-	if s.mode == SingleCommand {
-		s.global, removed = filter(s.global)
-	} else {
-		q, r := filter(s.queues[b])
-		removed = r
-		if len(q) == 0 {
-			delete(s.queues, b)
-		} else {
-			s.queues[b] = q
-		}
-	}
-	s.queued -= removed
-	return removed
+	n := len(s.queue)
+	s.queue = slices.DeleteFunc(s.queue, func(p Pending) bool {
+		return p.M.Block == b && match(p)
+	})
+	return n - len(s.queue)
 }
 
 // dispatch runs ready transactions iteratively, so a StartFunc that

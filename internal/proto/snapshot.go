@@ -38,17 +38,11 @@ func (a *CacheAgent) Snapshot() AgentSnapshot {
 }
 
 // QueuedFor returns the queued (not yet started) commands for block b in
-// service order, for state fingerprints. In SingleCommand mode the global
-// queue is filtered to b. The returned slice is freshly allocated.
+// service order, for state fingerprints. The returned slice is freshly
+// allocated.
 func (s *Serializer) QueuedFor(b addr.Block) []Pending {
-	var src []Pending
-	if s.mode == SingleCommand {
-		src = s.global
-	} else {
-		src = s.queues[b]
-	}
 	var out []Pending
-	for _, p := range src {
+	for _, p := range s.queue {
 		if p.M.Block == b {
 			out = append(out, p)
 		}

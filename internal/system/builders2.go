@@ -135,12 +135,8 @@ func (b *duplicationBuilder) checkInvariants(m *Machine) error {
 		return fmt.Errorf("duplication controller not quiescent")
 	}
 	return checkGenericInvariants(m, b.ctrl.MemVersion, func(bl addr.Block, copies []copyView) error {
-		holders := map[int]bool{}
-		for _, h := range b.ctrl.Holders(bl) {
-			holders[h] = true
-		}
 		for _, cv := range copies {
-			if !holders[cv.cacheIdx] {
+			if !b.ctrl.Holds(cv.cacheIdx, bl) {
 				return fmt.Errorf("%v: cache %d holds a copy the duplicate tags miss", bl, cv.cacheIdx)
 			}
 		}

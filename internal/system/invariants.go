@@ -1,7 +1,9 @@
 package system
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"twobit/internal/addr"
 	"twobit/internal/cache"
@@ -16,22 +18,57 @@ type copyView struct {
 	frame    cache.Frame
 }
 
-// gatherCopies snapshots every valid copy of block b across the caches
-// into the machine's scratch buffer — the checkers call it once per
-// block per run, and each caller is done with the previous snapshot
-// before asking for the next. Empty results are nil.
-func (m *Machine) gatherCopies(b addr.Block) []copyView {
-	out := m.copyScratch[:0]
+// copyCursor hands out every valid cached copy block by block. The
+// checkers walk blocks in ascending order, so the copies are gathered
+// once per check — one pass over each cache's frames, sorted by block and
+// then by cache — instead of one lookup per block per cache. The walk
+// still visits every block, not only those with copies or a directory
+// entry: an uncached, Absent block still owes memory holding its latest
+// committed version, and its checks are a few dense reads.
+type copyCursor []copyView
+
+// copies gathers every valid copy across the caches into the machine's
+// scratch buffer, reused across runs, and returns a cursor at its start.
+func (m *Machine) copies() copyCursor {
+	n := 0
+	for _, cs := range m.caches {
+		n += len(cs.Store().Frames())
+	}
+	out := slices.Grow(m.copyScratch[:0], n)
 	for k, cs := range m.caches {
-		if f := cs.Store().Lookup(b); f != nil {
-			out = append(out, copyView{cacheIdx: k, frame: *f})
+		for _, f := range cs.Store().Frames() {
+			if f.Valid {
+				out = append(out, copyView{cacheIdx: k, frame: f})
+			}
 		}
 	}
+	slices.SortFunc(out, func(a, b copyView) int {
+		if c := cmp.Compare(a.frame.Block, b.frame.Block); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.cacheIdx, b.cacheIdx)
+	})
 	m.copyScratch = out
-	if len(out) == 0 {
+	return out
+}
+
+// next returns the copies of block b, ascending by cache, and advances
+// past them. Successive calls must name ascending blocks. Empty results
+// are nil.
+func (c *copyCursor) next(b addr.Block) []copyView {
+	s := *c
+	for len(s) > 0 && s[0].frame.Block < b {
+		s = s[1:]
+	}
+	n := 0
+	for n < len(s) && s[n].frame.Block == b {
+		n++
+	}
+	*c = s[n:]
+	if n == 0 {
 		return nil
 	}
-	return out
+	return s[:n]
 }
 
 // checkDataInvariants verifies the protocol-independent coherence facts at
@@ -85,10 +122,11 @@ func checkTwoBitInvariants(m *Machine, ctrls []*core.Controller) error {
 			return fmt.Errorf("controller %d not quiescent", j)
 		}
 	}
+	cur := m.copies()
 	for blk := 0; blk < m.space.Blocks; blk++ {
 		b := addr.Block(blk)
 		ctrl := ctrls[b.Module(m.space.Modules)]
-		copies := m.gatherCopies(b)
+		copies := cur.next(b)
 		if err := m.checkDataInvariants(b, copies, ctrl.MemVersion(b)); err != nil {
 			return err
 		}
@@ -134,10 +172,11 @@ func checkFullMapInvariants(m *Machine, ctrls []*fullmap.Controller) error {
 			return fmt.Errorf("controller %d not quiescent", j)
 		}
 	}
+	cur := m.copies()
 	for blk := 0; blk < m.space.Blocks; blk++ {
 		b := addr.Block(blk)
 		ctrl := ctrls[b.Module(m.space.Modules)]
-		copies := m.gatherCopies(b)
+		copies := cur.next(b)
 		if err := m.checkDataInvariants(b, copies, ctrl.MemVersion(b)); err != nil {
 			return err
 		}
@@ -182,9 +221,10 @@ func checkFullMapInvariants(m *Machine, ctrls []*fullmap.Controller) error {
 // memVersion to read back main memory. Used by protocols without a global
 // directory (classical, write-once, software).
 func checkGenericInvariants(m *Machine, memVersion func(addr.Block) uint64, extra func(b addr.Block, copies []copyView) error) error {
+	cur := m.copies()
 	for blk := 0; blk < m.space.Blocks; blk++ {
 		b := addr.Block(blk)
-		copies := m.gatherCopies(b)
+		copies := cur.next(b)
 		if err := m.checkDataInvariants(b, copies, memVersion(b)); err != nil {
 			return err
 		}

@@ -68,10 +68,11 @@ func TestCheckerDetectsAbsentWithCopy(t *testing.T) {
 	tb := m.bld.(*twoBitBuilder)
 	var target Block = 0
 	found := false
+	cur := m.copies()
 	for b := 0; b < m.space.Blocks; b++ {
 		blk := Block(b)
 		if tb.ctrls[blk.Module(m.space.Modules)].State(blk) == 0 /* Absent */ {
-			if m.gatherCopies(blk) == nil {
+			if cur.next(blk) == nil {
 				target = blk
 				found = true
 				break

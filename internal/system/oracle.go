@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"math"
 
 	"twobit/internal/addr"
 )
@@ -27,71 +28,129 @@ import (
 // remote cache may briefly read its stale copy after the writer proceeded.
 // The machine therefore enables the strict check only on uniform-latency
 // networks (crossbar, bus). See DESIGN.md §6.
+//
+// The tables are dense slices (DESIGN.md §4g). Versions are numbered by
+// one machine-wide counter, so the commit table is indexed by version.
+// Per-block records are rows allocated when a block is first written: a
+// block never written can only be read at version 0, which needs no
+// record, and a serving trace writes a small share of its blocks.
+// Commit sequence numbers are 32-bit: the commit table holds an entry per
+// version, so a run would exhaust memory long before 2³² commits.
 type Oracle struct {
-	seq      uint64
-	seqs     map[blockVersion]uint64 // (block, version) → commit sequence
-	latest   map[addr.Block]uint64
-	lastSeen map[procBlock]uint64 // per (proc, block): last observed commit seq
+	seq     uint32
+	stride  int      // observers per row: processors plus DMA devices
+	commits []commit // by version; the zero entry means "not committed"
+	rowOf   []int32  // by block: 1 + the block's row, 0 if never written
+	latest  []uint64 // by row: the block's last committed version
+	// lastSeen[row*stride+observer] is the last commit sequence number
+	// the observer saw of the row's block. One flat slice, so adding a
+	// row is one amortized append.
+	lastSeen []uint32
 }
 
-// blockVersion keys the commit table by a flat composite rather than a
-// map of maps: one hash table whose buckets survive Reset, so a reused
-// oracle's steady state commits without allocating. (The nested layout
-// was the sweep executor's single largest allocation source.)
-type blockVersion struct {
-	block   addr.Block
-	version uint64
+// commit records which block a version was committed for, by row.
+type commit struct {
+	row int32  // 1 + the block's row
+	seq uint32 // commit sequence number, from 1; 0 if not committed
 }
 
-type procBlock struct {
-	proc  int
-	block addr.Block
-}
-
-// NewOracle returns an empty oracle. Version 0 denotes a block's initial
+// NewOracle returns an empty oracle over blocks blocks, observed by
+// observers processors and devices. Version 0 denotes a block's initial
 // memory contents and is implicitly committed with sequence 0.
-func NewOracle() *Oracle {
-	return &Oracle{
-		seqs:     make(map[blockVersion]uint64),
-		latest:   make(map[addr.Block]uint64),
-		lastSeen: make(map[procBlock]uint64),
-	}
+func NewOracle(blocks, observers int) *Oracle {
+	o := &Oracle{}
+	o.Reset(blocks, observers)
+	return o
 }
 
-// Reset empties the oracle for a new run while keeping its hash tables'
-// capacity, so a worker reusing one oracle across a campaign stops
-// paying per-run map growth. A Reset oracle is indistinguishable from a
-// fresh one.
-func (o *Oracle) Reset() {
+// Reset empties the oracle for a new run over blocks blocks and
+// observers observers, keeping its tables' capacity, so a worker reusing
+// one oracle across a campaign stops paying per-run growth. A Reset
+// oracle is indistinguishable from a fresh one.
+func (o *Oracle) Reset(blocks, observers int) {
 	o.seq = 0
-	clear(o.seqs)
-	clear(o.latest)
-	clear(o.lastSeen)
+	o.stride = observers
+	o.commits = o.commits[:0]
+	o.rowOf = extend(o.rowOf[:0], blocks)
+	o.latest = o.latest[:0]
+	o.lastSeen = o.lastSeen[:0]
 }
 
-// Commit records that version v became current for block b.
-func (o *Oracle) Commit(b addr.Block, v uint64) {
-	o.seq++
-	k := blockVersion{b, v}
-	if _, dup := o.seqs[k]; dup {
-		panic(fmt.Sprintf("oracle: version %d committed twice for %v", v, b))
+// extend lengthens s by n zero elements. It clears what it exposes, since
+// capacity kept across a Reset still holds the previous run's entries.
+// It doubles the capacity when it must grow: these tables grow throughout
+// a run, and append's 1.25× steps for large slices would allocate
+// about twice as many bytes in total.
+func extend[T any](s []T, n int) []T {
+	l := len(s)
+	if l+n > cap(s) {
+		grown := make([]T, l, max(2*cap(s), l+n))
+		copy(grown, s)
+		s = grown
 	}
-	o.seqs[k] = o.seq
-	o.latest[b] = v
+	s = s[:l+n]
+	clear(s[l:])
+	return s
+}
+
+// Commit records that version v became current for block b. Versions
+// are unique across blocks; committing one twice panics.
+func (o *Oracle) Commit(b addr.Block, v uint64) {
+	if o.seq == math.MaxUint32 {
+		panic("oracle: commit sequence exhausted")
+	}
+	o.seq++
+	if v >= uint64(len(o.commits)) {
+		o.commits = extend(o.commits, int(v)+1-len(o.commits))
+	}
+	if o.commits[v].seq != 0 {
+		panic(fmt.Sprintf("oracle: version %d committed twice (again for %v)", v, b))
+	}
+	r := o.rowOf[b]
+	if r == 0 {
+		o.latest = extend(o.latest, 1)
+		o.lastSeen = extend(o.lastSeen, o.stride)
+		r = int32(len(o.latest))
+		o.rowOf[b] = r
+	}
+	o.commits[v] = commit{row: r, seq: o.seq}
+	o.latest[r-1] = v
 }
 
 // Latest returns the last committed version for b (0 if never written).
-func (o *Oracle) Latest(b addr.Block) uint64 { return o.latest[b] }
+func (o *Oracle) Latest(b addr.Block) uint64 {
+	if r := o.rowOf[b]; r != 0 {
+		return o.latest[r-1]
+	}
+	return 0
+}
 
 // Commits returns the total number of commits observed.
-func (o *Oracle) Commits() uint64 { return o.seq }
+func (o *Oracle) Commits() uint64 { return uint64(o.seq) }
 
-func (o *Oracle) seqOf(b addr.Block, v uint64) (uint64, bool) {
+func (o *Oracle) seqOf(b addr.Block, v uint64) (uint32, bool) {
 	if v == 0 {
 		return 0, true
 	}
-	s, ok := o.seqs[blockVersion{b, v}]
-	return s, ok
+	if v < uint64(len(o.commits)) {
+		if c := o.commits[v]; c.seq != 0 && c.row == o.rowOf[b] {
+			return c.seq, true
+		}
+	}
+	return 0, false
+}
+
+// seen returns the index in lastSeen of proc's entry for block b, or -1
+// when b has never been written (every observation of it is version 0).
+func (o *Oracle) seen(proc int, b addr.Block) int {
+	if proc < 0 || proc >= o.stride {
+		panic(fmt.Sprintf("oracle: observer %d outside [0,%d)", proc, o.stride))
+	}
+	r := o.rowOf[b]
+	if r == 0 {
+		return -1
+	}
+	return int(r-1)*o.stride + proc
 }
 
 // NoteWrite records, at a store's completion, that proc has observed its
@@ -101,9 +160,8 @@ func (o *Oracle) NoteWrite(proc int, b addr.Block, v uint64) error {
 	if !ok {
 		return fmt.Errorf("oracle: proc %d's store of version %d to %v completed without committing", proc, v, b)
 	}
-	key := procBlock{proc, b}
-	if s > o.lastSeen[key] {
-		o.lastSeen[key] = s
+	if i := o.seen(proc, b); i >= 0 && s > o.lastSeen[i] {
+		o.lastSeen[i] = s
 	}
 	return nil
 }
@@ -116,12 +174,13 @@ func (o *Oracle) CheckLoad(proc int, b addr.Block, issueLatest, got uint64, stri
 	if !ok {
 		return fmt.Errorf("oracle: load of %v observed uncommitted version %d", b, got)
 	}
-	key := procBlock{proc, b}
-	if prev := o.lastSeen[key]; gs < prev {
-		return fmt.Errorf("oracle: coherence violation on %v: proc %d observed version %d (commit #%d) after already observing commit #%d",
-			b, proc, got, gs, prev)
+	if i := o.seen(proc, b); i >= 0 {
+		if prev := o.lastSeen[i]; gs < prev {
+			return fmt.Errorf("oracle: coherence violation on %v: proc %d observed version %d (commit #%d) after already observing commit #%d",
+				b, proc, got, gs, prev)
+		}
+		o.lastSeen[i] = gs
 	}
-	o.lastSeen[key] = gs
 	if strict {
 		is, ok := o.seqOf(b, issueLatest)
 		if !ok {

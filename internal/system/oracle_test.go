@@ -6,7 +6,7 @@ import (
 )
 
 func TestOracleCommitAndLatest(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(16, 10)
 	if o.Latest(5) != 0 || o.Commits() != 0 {
 		t.Fatal("fresh oracle not empty")
 	}
@@ -19,7 +19,7 @@ func TestOracleCommitAndLatest(t *testing.T) {
 }
 
 func TestOracleDoubleCommitPanics(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(16, 10)
 	o.Commit(1, 7)
 	defer func() {
 		if recover() == nil {
@@ -30,7 +30,7 @@ func TestOracleDoubleCommitPanics(t *testing.T) {
 }
 
 func TestOracleUncommittedLoadRejected(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(16, 10)
 	err := o.CheckLoad(0, 1, 0, 99, false)
 	if err == nil || !strings.Contains(err.Error(), "uncommitted") {
 		t.Fatalf("err = %v", err)
@@ -38,14 +38,14 @@ func TestOracleUncommittedLoadRejected(t *testing.T) {
 }
 
 func TestOracleInitialVersionLegal(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(16, 10)
 	if err := o.CheckLoad(0, 1, 0, 0, true); err != nil {
 		t.Fatalf("reading the initial version flagged: %v", err)
 	}
 }
 
 func TestOracleStrictStaleness(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(16, 10)
 	o.Commit(1, 10) // proc 9 wrote v10
 	// A load issued after the commit (issueLatest=10) observing v0 is a
 	// strict violation but passes the plain coherence check for a proc
@@ -53,7 +53,7 @@ func TestOracleStrictStaleness(t *testing.T) {
 	if err := o.CheckLoad(0, 1, 10, 0, false); err != nil {
 		t.Fatalf("coherence check flagged a legal (non-strict) stale read: %v", err)
 	}
-	o2 := NewOracle()
+	o2 := NewOracle(16, 10)
 	o2.Commit(1, 10)
 	err := o2.CheckLoad(0, 1, 10, 0, true)
 	if err == nil || !strings.Contains(err.Error(), "stale") {
@@ -62,7 +62,7 @@ func TestOracleStrictStaleness(t *testing.T) {
 }
 
 func TestOraclePerProcessorMonotonicity(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(16, 10)
 	o.Commit(1, 10)
 	o.Commit(1, 11)
 	if err := o.CheckLoad(0, 1, 11, 11, false); err != nil {
@@ -80,7 +80,7 @@ func TestOraclePerProcessorMonotonicity(t *testing.T) {
 }
 
 func TestOracleOwnWriteVisibility(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(16, 10)
 	o.Commit(2, 5)
 	if err := o.NoteWrite(3, 2, 5); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestOracleOwnWriteVisibility(t *testing.T) {
 }
 
 func TestOracleNoteWriteWithoutCommit(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(16, 10)
 	if err := o.NoteWrite(0, 1, 42); err == nil {
 		t.Fatal("uncommitted store completion accepted")
 	}

@@ -10,14 +10,14 @@ import (
 
 // Runner is a worker-reusable run entry point. A campaign worker that
 // constructs a fresh machine per run pays the same allocations over and
-// over — the event kernel's heap, the coherence oracle's hash tables,
+// over — the event kernel's heap, the coherence oracle's tables,
 // the caches, directories, serializer queues and network slabs of the
 // machine graph itself, the results encoder's scratch space — and on a
 // busy pool that recurring garbage serializes every worker behind the
 // collector. A Runner owns those pools and reuses them across runs: the
 // kernel keeps its event storage at the high-water mark
-// (sim.Kernel.Reset), the oracle keeps its table capacity
-// (Oracle.Reset), encoding reuses one buffer, and the entire machine
+// (sim.Kernel.Reset), the oracle keeps its tables' capacity
+// (Oracle.Reset, called by the machine that sizes it), encoding reuses one buffer, and the entire machine
 // graph is pooled per shape — a run whose config has the same structure
 // (protocol, topology, cache geometry, block count; see machineShape) as
 // an earlier run reuses that machine behind component Reset methods,
@@ -37,7 +37,7 @@ type Runner struct {
 
 // NewRunner returns an empty Runner, ready to run.
 func NewRunner() *Runner {
-	return &Runner{oracle: NewOracle()}
+	return &Runner{oracle: &Oracle{}}
 }
 
 // Run assembles (or reuses) a machine for cfg on the runner's pooled
@@ -51,7 +51,6 @@ func (r *Runner) Run(cfg Config, gen workload.Generator, refsPerProc int) (Resul
 	r.kernel.SetHook(nil)
 	var o *Oracle
 	if cfg.Oracle {
-		r.oracle.Reset()
 		o = r.oracle
 	}
 	if !poolable(cfg) {

@@ -244,7 +244,7 @@ type Machine struct {
 	latencies       stats.Histogram // per-reference latency, cycles
 	sharedLatencies stats.Histogram // latency of shared references only
 
-	copyScratch []copyView // gatherCopies buffer, reused across blocks and runs
+	copyScratch []copyView // copies buffer, reused across runs
 
 	obsLatency *obs.Histogram // "sys/ref_latency_cycles" (nil when Obs off)
 }
@@ -266,9 +266,9 @@ func NewOnKernel(cfg Config, gen workload.Generator, k *sim.Kernel) (*Machine, e
 	return newMachine(cfg, gen, k, nil, nil)
 }
 
-// newMachine is New with an optional kernel, reusable oracle (Reset by
-// the caller; nil allocates a fresh one) and network override; the
-// model-checking tests use the latter to substitute a delivery-choice
+// newMachine is New with an optional kernel, reusable oracle (sized for
+// this machine here; nil allocates a fresh one) and network override;
+// the model-checking tests use the latter to substitute a delivery-choice
 // network.
 func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *Oracle, netFactory func(*sim.Kernel) network.Network) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
@@ -308,11 +308,11 @@ func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *
 		m.net.Observe(cfg.Obs, m.trackName)
 	}
 	if cfg.Oracle {
-		if oracle != nil {
-			m.oracle = oracle
-		} else {
-			m.oracle = NewOracle()
+		if oracle == nil {
+			oracle = &Oracle{}
 		}
+		oracle.Reset(blocks, m.observers())
+		m.oracle = oracle
 		// Strict linearizability holds only when invalidations and grants
 		// travel with equal delay; the blocking Omega network and the
 		// jittered crossbar do not guarantee that, so they get the (still
@@ -386,6 +386,9 @@ func (m *Machine) reset(cfg Config, gen workload.Generator, oracle *Oracle) {
 	m.gen = gen
 	m.oracle = oracle
 	m.strict = oracle != nil && cfg.Net != OmegaNet && cfg.NetJitter == 0
+	if oracle != nil {
+		oracle.Reset(m.space.Blocks, m.observers())
+	}
 	switch n := m.net.(type) {
 	case *network.Crossbar:
 		n.Reset(cfg.NetLatency, cfg.NetJitter, cfg.Seed^0xA5A5)
@@ -408,6 +411,10 @@ func (m *Machine) reset(cfg Config, gen workload.Generator, oracle *Oracle) {
 	m.latencies.Reset()
 	m.sharedLatencies.Reset()
 }
+
+// observers returns the number of oracle observers: every processor,
+// then every DMA device (see dmaDevice.oracleProc).
+func (m *Machine) observers() int { return m.cfg.Procs + m.cfg.DMA.Devices }
 
 // trackName maps a network node id to its observability track name,
 // following the topology's layout: caches first, then controllers, then

@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh — the full verification gauntlet, in increasing cost order:
-# compile, vet, coherencelint (static protocol analysis), the test suite
+# compile, vet, gofmt, coherencelint (static protocol analysis), the test suite
 # under the race detector, then a sweep smoke stage that exercises the
 # experiment-orchestration engine end to end: a tiny campaign must produce
 # byte-identical stores at workers=1 and workers=4, and a store truncated
@@ -17,6 +17,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l ."
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+    echo "check.sh: files not gofmt-clean:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 
 echo "==> coherencelint ./..."
 go run ./cmd/coherencelint ./...
