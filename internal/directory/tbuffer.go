@@ -107,9 +107,11 @@ func (t *TranslationBuffer) Lookup(block addr.Block) (owners []int, ok bool) {
 
 // Record notes that exactly the caches in owners hold copies of block,
 // replacing any previous entry. Recording an empty owner set still creates
-// an entry: "no cache holds it" is as useful as a list of holders.
+// an entry: "no cache holds it" is as useful as a list of holders. Record,
+// AddOwner, RemoveOwner and Drop are no-ops on a nil buffer, which stands
+// for the disabled §4.4 enhancement.
 func (t *TranslationBuffer) Record(block addr.Block, owners []int) {
-	if t.capacity == 0 {
+	if t == nil || t.capacity == 0 {
 		return
 	}
 	var mask uint64
@@ -136,6 +138,9 @@ func (t *TranslationBuffer) Record(block addr.Block, owners []int) {
 // AddOwner adds cache to block's owner set if an entry exists (e.g. after
 // servicing a read miss the controller knows one more holder).
 func (t *TranslationBuffer) AddOwner(block addr.Block, cache int) {
+	if t == nil {
+		return
+	}
 	if e, found := t.entries[block]; found {
 		e.owners |= 1 << uint(cache)
 	}
@@ -143,6 +148,9 @@ func (t *TranslationBuffer) AddOwner(block addr.Block, cache int) {
 
 // RemoveOwner removes cache from block's owner set if an entry exists.
 func (t *TranslationBuffer) RemoveOwner(block addr.Block, cache int) {
+	if t == nil {
+		return
+	}
 	if e, found := t.entries[block]; found {
 		e.owners &^= 1 << uint(cache)
 	}
@@ -150,6 +158,9 @@ func (t *TranslationBuffer) RemoveOwner(block addr.Block, cache int) {
 
 // Drop removes block's entry if present (e.g. on conflicting information).
 func (t *TranslationBuffer) Drop(block addr.Block) {
+	if t == nil {
+		return
+	}
 	if e, found := t.entries[block]; found {
 		t.unlink(e)
 		delete(t.entries, block)

@@ -126,7 +126,7 @@ func TestEjectClearsPresence(t *testing.T) {
 	r.do(t, 0, 1, false)
 	r.do(t, 0, 17, false)
 	r.do(t, 0, 33, false) // evict block 1
-	if n := r.ctrl.dir.HolderCount(r.ctrl.local(1)); n != 0 {
+	if n := r.ctrl.dir.HolderCount(r.ctrl.Local(1)); n != 0 {
 		t.Fatalf("holder count = %d after clean ejection", n)
 	}
 }
@@ -136,7 +136,7 @@ func TestMRequestGrantRequiresPresence(t *testing.T) {
 	r.do(t, 0, 8, false)
 	r.do(t, 1, 8, false)
 	r.do(t, 0, 8, true) // MREQUEST, granted with directed INV to 1
-	if !r.ctrl.dir.Modified(r.ctrl.local(8)) {
+	if !r.ctrl.dir.Modified(r.ctrl.Local(8)) {
 		t.Fatal("m bit not set after granted MREQUEST")
 	}
 	if r.agents[1].Store().Lookup(8) != nil {

@@ -2,8 +2,10 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/constant"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -44,13 +46,101 @@ func implementsIn(p *pkg, iface *types.Interface) bool {
 	return false
 }
 
+// side is where one protocol half's dispatch and send sites may live:
+// the packages declaring a type that implements the half's interface,
+// and the module types such an implementation embeds (a shared
+// controller skeleton). An embedded type counts only inside its own
+// method bodies, so the rest of its package — a cache agent beside the
+// skeleton, say — cannot stand in for it.
+type side struct {
+	pkgs   []*pkg
+	embeds []*types.TypeName
+}
+
+func sideOf(mod *module, msgPkg *pkg, iface *types.Interface) side {
+	var s side
+	for _, p := range mod.sorted() {
+		if p == msgPkg || !implementsIn(p, iface) {
+			continue
+		}
+		s.pkgs = append(s.pkgs, p)
+		for _, name := range p.types.Scope().Names() {
+			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !types.Implements(types.NewPointer(tn.Type()), iface) {
+				continue
+			}
+			st, _ := tn.Type().Underlying().(*types.Struct)
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				named, ok := st.Field(i).Type().(*types.Named)
+				if ok && st.Field(i).Anonymous() && named.Obj().Pkg() != nil &&
+					mod.pkgs[named.Obj().Pkg().Path()] != nil && !slices.Contains(s.embeds, named.Obj()) {
+					s.embeds = append(s.embeds, named.Obj())
+				}
+			}
+		}
+	}
+	return s
+}
+
+// uses reports whether cn is referenced anywhere in the side's packages
+// or in a method body of one of its embedded types.
+func (s side) uses(mod *module, cn *types.Const) bool {
+	for _, p := range s.pkgs {
+		for _, obj := range p.info.Uses {
+			if obj == types.Object(cn) {
+				return true
+			}
+		}
+	}
+	for _, tn := range s.embeds {
+		p := mod.pkgs[tn.Pkg().Path()]
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || fd.Body == nil {
+					continue
+				}
+				recv := p.info.Defs[fd.Name].(*types.Func).Type().(*types.Signature).Recv().Type()
+				if ptr, ok := recv.(*types.Pointer); ok {
+					recv = ptr.Elem()
+				}
+				if named, ok := recv.(*types.Named); !ok || named.Obj() != tn {
+					continue
+				}
+				for id, obj := range p.info.Uses {
+					if obj == types.Object(cn) && id.Pos() >= fd.Body.Pos() && id.Pos() < fd.Body.End() {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+func (s side) String() string {
+	var out []string
+	for _, p := range s.pkgs {
+		out = append(out, p.path)
+	}
+	for _, tn := range s.embeds {
+		out = append(out, tn.Pkg().Path()+"."+tn.Name()+" methods")
+	}
+	if len(out) == 0 {
+		return "none found"
+	}
+	return strings.Join(out, ", ")
+}
+
 // checkHandlers applies the handler-completeness analyzer: every message
 // kind (exported, non-zero constant of the message enum) must be
 // referenced in at least one cache-side package and at least one
 // memory-side package. A package is cache-side (memory-side) when it
 // declares a type implementing the CacheSide (MemSide) interface; a
 // reference anywhere in such a package counts, because dispatch switches
-// and send sites both live next to the implementing type.
+// and send sites both live next to the implementing type. A reference in
+// a method of a type such an implementation embeds counts too: that is a
+// shared skeleton's send site (see side).
 func checkHandlers(mod *module, cfg Config) []Diagnostic {
 	msgPkg := mod.pkgs[cfg.MsgPath]
 	protoPkg := mod.pkgs[cfg.ProtoPath]
@@ -99,50 +189,19 @@ func checkHandlers(mod *module, cfg Config) []Diagnostic {
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i].Pos() < kinds[j].Pos() })
 
-	var cachePkgs, memPkgs []*pkg
-	for _, p := range mod.sorted() {
-		if p == msgPkg {
-			continue
-		}
-		if implementsIn(p, cacheIface) {
-			cachePkgs = append(cachePkgs, p)
-		}
-		if implementsIn(p, memIface) {
-			memPkgs = append(memPkgs, p)
-		}
-	}
-
-	usedIn := func(set []*pkg, cn *types.Const) bool {
-		for _, p := range set {
-			for _, obj := range p.info.Uses {
-				if obj == types.Object(cn) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	names := func(set []*pkg) string {
-		var out []string
-		for _, p := range set {
-			out = append(out, p.path)
-		}
-		if len(out) == 0 {
-			return "none found"
-		}
-		return strings.Join(out, ", ")
-	}
+	cacheSide := sideOf(mod, msgPkg, cacheIface)
+	memSide := sideOf(mod, msgPkg, memIface)
 
 	var diags []Diagnostic
 	for _, cn := range kinds {
 		var missing []string
-		if !usedIn(cachePkgs, cn) {
+		if !cacheSide.uses(mod, cn) {
 			missing = append(missing, fmt.Sprintf("no cache-side dispatch site (searched %s implementations in: %s)",
-				cfg.CacheIface, names(cachePkgs)))
+				cfg.CacheIface, cacheSide))
 		}
-		if !usedIn(memPkgs, cn) {
+		if !memSide.uses(mod, cn) {
 			missing = append(missing, fmt.Sprintf("no memory-side dispatch site (searched %s implementations in: %s)",
-				cfg.MemIface, names(memPkgs)))
+				cfg.MemIface, memSide))
 		}
 		if len(missing) > 0 {
 			diags = append(diags, Diagnostic{

@@ -35,8 +35,9 @@ func kernelScheduleName(p *pkg, call *ast.CallExpr, cfg Config) (string, bool) {
 }
 
 // checkHotPath applies the closure-in-hotpath analyzer: inside the
-// packages listed in cfg.HotPaths (by default the network and core
-// packages — the per-message and per-transaction fan-out layers), a
+// packages listed in cfg.HotPaths (by default the network, the
+// directory-controller skeleton and the protocols embedding it — the
+// per-message and per-transaction fan-out layers), a
 // kernel At/After call whose function argument is a closure capturing a
 // variable declared in an enclosing loop is a finding. Such a closure
 // cannot be hoisted: it allocates once per iteration, on exactly the

@@ -159,13 +159,16 @@ type Config struct {
 	// path: a kernel At/After call there whose closure captures a loop
 	// variable is a finding, because it allocates once per iteration —
 	// the pooled AtCall/AfterCall form exists for exactly that shape.
-	// Default: <module>/internal/network and <module>/internal/core.
+	// Default: <module>/internal/{network,proto,core,fullmap,duplication}
+	// — the network and the directory-controller skeleton with the
+	// protocols that embed it.
 	HotPaths []string
 	// ComponentPaths lists the machine-component packages whose exported
 	// New* constructors the orchestrators must not call: component
 	// lifetimes belong to the pooled machine graph, which is built once
 	// per worker and reset between runs. Default: the cache, memory,
-	// core, fullmap, proto, network, directory and system packages.
+	// proto, network, directory and system packages and the seven
+	// protocol packages.
 	ComponentPaths []string
 	// AllowedConstructors lists fully qualified constructors ("path.Func")
 	// exempt from the pooled-construction rule — the sanctioned entry
@@ -201,7 +204,13 @@ func (c *Config) fill(mod *module) {
 		c.Orchestrators = []string{mod.path + "/internal/sweep"}
 	}
 	if c.HotPaths == nil {
-		c.HotPaths = []string{mod.path + "/internal/network", mod.path + "/internal/core"}
+		c.HotPaths = []string{
+			mod.path + "/internal/network",
+			mod.path + "/internal/proto",
+			mod.path + "/internal/core",
+			mod.path + "/internal/fullmap",
+			mod.path + "/internal/duplication",
+		}
 	}
 	if c.ComponentPaths == nil {
 		c.ComponentPaths = []string{
@@ -209,6 +218,10 @@ func (c *Config) fill(mod *module) {
 			mod.path + "/internal/memory",
 			mod.path + "/internal/core",
 			mod.path + "/internal/fullmap",
+			mod.path + "/internal/duplication",
+			mod.path + "/internal/classical",
+			mod.path + "/internal/writeonce",
+			mod.path + "/internal/software",
 			mod.path + "/internal/proto",
 			mod.path + "/internal/network",
 			mod.path + "/internal/directory",

@@ -91,8 +91,8 @@ func TestHandlerFixtures(t *testing.T) {
 		MsgPath:   "handlerbad/msg",
 		ProtoPath: "handlerbad/proto",
 	}), []string{
-		"msg/msg.go:12:2: [handler-completeness] message kind KindPong: no memory-side dispatch site (searched MemSide implementations in: handlerbad/ctrl)",
-		"msg/msg.go:13:2: [handler-completeness] message kind KindOrphan: no cache-side dispatch site (searched CacheSide implementations in: handlerbad/agent); no memory-side dispatch site (searched MemSide implementations in: handlerbad/ctrl)",
+		"msg/msg.go:12:2: [handler-completeness] message kind KindPong: no memory-side dispatch site (searched MemSide implementations in: handlerbad/ctrl, handlerbad/skel.Skel methods)",
+		"msg/msg.go:13:2: [handler-completeness] message kind KindOrphan: no cache-side dispatch site (searched CacheSide implementations in: handlerbad/agent, handlerbad/skel); no memory-side dispatch site (searched MemSide implementations in: handlerbad/ctrl, handlerbad/skel.Skel methods)",
 	})
 }
 

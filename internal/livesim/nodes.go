@@ -262,10 +262,6 @@ type ctrlNode struct {
 	obsStateTo    [4]*obs.Counter // "ctrl<j>/dir_to_*" transition counts
 }
 
-// ctrlStateSuffix matches internal/core's stateCounterSuffix, indexed by
-// the st* constants, so the two simulators' transition counters line up.
-var ctrlStateSuffix = [4]string{"dir_to_absent", "dir_to_present1", "dir_to_present_star", "dir_to_present_m"}
-
 func newCtrlNode(m *Machine, idx int) *ctrlNode {
 	c := &ctrlNode{
 		m:       m,
@@ -279,7 +275,9 @@ func newCtrlNode(m *Machine, idx int) *ctrlNode {
 	prefix := fmt.Sprintf("ctrl%d", idx)
 	c.obsBroadcasts = m.cfg.Obs.Counter(prefix + "/broadcasts")
 	for s := range c.obsStateTo {
-		c.obsStateTo[s] = m.cfg.Obs.Counter(prefix + "/" + ctrlStateSuffix[s])
+		// The st* constants follow directory.State's order, so the names
+		// line up with the deterministic simulator's controllers.
+		c.obsStateTo[s] = m.cfg.Obs.Counter(prefix + "/" + obs.DirStateCounterSuffix[s])
 	}
 	return c
 }

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"twobit/internal/addr"
-	"twobit/internal/core"
-	"twobit/internal/fullmap"
 	"twobit/internal/msg"
 	"twobit/internal/network"
 	"twobit/internal/proto"
@@ -40,25 +38,7 @@ func (s *simView) agent(k int) *proto.CacheAgent {
 	return s.rm.Machine().CacheSide(k).(*proto.CacheAgent)
 }
 
-func (s *simView) ctrlBlock(b addr.Block) ctrlBlock {
-	switch c := s.rm.Machine().MemSide(0).(type) {
-	case *core.Controller:
-		return twoBitBlock(c, b)
-	case *fullmap.Controller:
-		return fullmapBlock(c, b)
-	}
-	panic("mcheck: bridge over an unsupported controller type")
-}
-
-func (s *simView) ctrlQuiescent() bool {
-	switch c := s.rm.Machine().MemSide(0).(type) {
-	case *core.Controller:
-		return c.Quiescent()
-	case *fullmap.Controller:
-		return c.Quiescent()
-	}
-	panic("mcheck: bridge over an unsupported controller type")
-}
+func (s *simView) dir() dirCtrl { return s.rm.Machine().MemSide(0).(dirCtrl) }
 
 func (s *simView) currentOf(b addr.Block) uint64 {
 	return s.rm.Machine().Oracle().Latest(b)

@@ -41,11 +41,20 @@ func (k SeriesKind) String() string {
 const DefaultWindowWidth = 1 << 10
 
 // DirStateSeriesNames names the directory-state census gauges, indexed
-// by the two-bit directory.State ordinal. They are machine-global: the
-// two-bit controller moves blocks between them on every transition, and
-// the full-map controller folds its exact state through the same
+// by the two-bit directory.State ordinal. They are machine-global: every
+// directory controller moves its blocks between them on each transition,
+// the exact directories (full map, duplicate tags) through the same
 // two-bit abstraction, so the census is comparable across protocols.
 var DirStateSeriesNames = [4]string{"dir/absent", "dir/present1", "dir/present_star", "dir/present_m"}
+
+// DirStateCounterSuffix names the per-controller transition counters
+// ("ctrl<j>/dir_to_*") and DirStateEventNames the trace instant of each
+// transition, indexed by the destination state like DirStateSeriesNames.
+// The slugs avoid "Present*", which is hostile to metric-name tooling.
+var (
+	DirStateCounterSuffix = [4]string{"dir_to_absent", "dir_to_present1", "dir_to_present_star", "dir_to_present_m"}
+	DirStateEventNames    = [4]string{"dir to Absent", "dir to Present1", "dir to Present*", "dir to PresentM"}
+)
 
 // EnableWindows turns on windowed time-series aggregation with the
 // given window width in sim cycles (≤ 0 selects DefaultWindowWidth) and

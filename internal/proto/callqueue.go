@@ -7,7 +7,7 @@ import (
 // call tags select what a pooled record runs; they travel in the event's
 // second packed argument.
 const (
-	callService = iota // service(p) — one per command the controller admits
+	callService = iota // serve(p) — one per command the controller admits
 	callData           // onData(cache, data) — a buffered put handed to a waiter
 )
 
@@ -19,10 +19,10 @@ const (
 // closure per event, so admitting a command costs no allocation once the
 // slab has grown to the controller's concurrency high-water mark.
 type CallQueue struct {
-	kernel  *sim.Kernel
-	service func(Pending)
-	recs    []callRec
-	free    int32 // first free slab record, -1 when none
+	kernel *sim.Kernel
+	ctrl   *DirController
+	recs   []callRec
+	free   int32 // first free slab record, -1 when none
 }
 
 type callRec struct {
@@ -33,14 +33,10 @@ type callRec struct {
 	next   int32 // free-list link, meaningful only while free
 }
 
-// NewCallQueue returns a queue scheduling on k. service is bound once —
-// it is the controller's dispatch method, so per-command scheduling
-// never constructs a method value.
-func NewCallQueue(k *sim.Kernel, service func(Pending)) *CallQueue {
-	if service == nil {
-		panic("proto: NewCallQueue with nil service")
-	}
-	return &CallQueue{kernel: k, service: service, free: -1}
+// NewCallQueue returns a queue scheduling on k whose service records
+// run ctrl's service step.
+func NewCallQueue(k *sim.Kernel, ctrl *DirController) *CallQueue {
+	return &CallQueue{kernel: k, ctrl: ctrl, free: -1}
 }
 
 // Reset discards all slab records, retaining capacity. The owning
@@ -62,7 +58,7 @@ func (q *CallQueue) alloc() int32 {
 	return idx
 }
 
-// Service schedules service(p) d cycles from now.
+// Service schedules the controller's service of p d cycles from now.
 func (q *CallQueue) Service(d sim.Time, p Pending) {
 	idx := q.alloc()
 	q.recs[idx] = callRec{p: p}
@@ -87,7 +83,7 @@ func (q *CallQueue) Call(a0, a1 uint64) {
 	q.free = int32(a0)
 	switch a1 {
 	case callService:
-		q.service(r.p)
+		q.ctrl.serve(r.p)
 	default:
 		r.onData(r.cache, r.data)
 	}

@@ -78,15 +78,6 @@ func (t Topology) CacheIndex(id network.NodeID) (int, bool) {
 	return -1, false
 }
 
-// CacheNodes returns all cache node ids, for broadcast exclusion lists.
-func (t Topology) CacheNodes() []network.NodeID {
-	out := make([]network.NodeID, t.Caches)
-	for i := range out {
-		out[i] = network.NodeID(i)
-	}
-	return out
-}
-
 // Latencies is the timing model. All values are in cycles.
 type Latencies struct {
 	CacheHit    sim.Time // local cache access (hit or fill completion)

@@ -118,7 +118,7 @@ func (b *twoBitBuilder) reset(m *Machine) {
 }
 
 func (b *twoBitBuilder) checkInvariants(m *Machine) error {
-	return checkTwoBitInvariants(m, b.ctrls)
+	return checkCtrlInvariants(m, b.ctrls, checkTwoBitState)
 }
 
 // fullMapBuilder assembles the Censier–Feautrier baseline, optionally with
@@ -172,5 +172,5 @@ func (b *fullMapBuilder) reset(m *Machine) {
 }
 
 func (b *fullMapBuilder) checkInvariants(m *Machine) error {
-	return checkFullMapInvariants(m, b.ctrls)
+	return checkCtrlInvariants(m, b.ctrls, m.checkFullMapState)
 }

@@ -76,15 +76,7 @@ func (b *classicalBuilder) reset(m *Machine) {
 }
 
 func (b *classicalBuilder) checkInvariants(m *Machine) error {
-	for j, c := range b.ctrls {
-		if !c.Quiescent() {
-			return fmt.Errorf("classical controller %d not quiescent", j)
-		}
-	}
-	memV := func(bl addr.Block) uint64 {
-		return b.ctrls[bl.Module(m.space.Modules)].MemVersion(bl)
-	}
-	return checkGenericInvariants(m, memV, func(bl addr.Block, copies []copyView) error {
+	return checkCtrlInvariants(m, b.ctrls, func(_ *classical.Controller, bl addr.Block, copies []copyView) error {
 		for _, cv := range copies {
 			if cv.frame.Modified {
 				return fmt.Errorf("%v: write-through cache %d holds a dirty frame", bl, cv.cacheIdx)
@@ -116,6 +108,7 @@ func (b *duplicationBuilder) buildCtrls(m *Machine) []proto.MemSide {
 		Topo:  m.topo,
 		Space: m.space,
 		Lat:   m.cfg.Lat,
+		Obs:   m.cfg.Obs,
 	}, m.kernel, m.net, b.mem)
 	return []proto.MemSide{b.ctrl}
 }
@@ -131,10 +124,7 @@ func (b *duplicationBuilder) reset(m *Machine) {
 }
 
 func (b *duplicationBuilder) checkInvariants(m *Machine) error {
-	if !b.ctrl.Quiescent() {
-		return fmt.Errorf("duplication controller not quiescent")
-	}
-	return checkGenericInvariants(m, b.ctrl.MemVersion, func(bl addr.Block, copies []copyView) error {
+	return checkCtrlInvariants(m, []*duplication.Controller{b.ctrl}, func(_ *duplication.Controller, bl addr.Block, copies []copyView) error {
 		for _, cv := range copies {
 			if !b.ctrl.Holds(cv.cacheIdx, bl) {
 				return fmt.Errorf("%v: cache %d holds a copy the duplicate tags miss", bl, cv.cacheIdx)

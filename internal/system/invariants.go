@@ -113,113 +113,99 @@ func (m *Machine) checkDataInvariants(b addr.Block, copies []copyView, memVersio
 	return nil
 }
 
-// checkTwoBitInvariants verifies the two-bit global states against the
-// caches' actual contents. Present* may legitimately overcount (it means
-// "0 or more copies"); every other state is exact.
-func checkTwoBitInvariants(m *Machine, ctrls []*core.Controller) error {
+// moduleCtrl is a memory controller that owns one module's blocks.
+type moduleCtrl interface {
+	Quiescent() bool
+	MemVersion(b addr.Block) uint64
+}
+
+// checkCtrlInvariants requires every controller to be quiescent, then
+// runs the protocol-independent checks with memory read back through
+// each block's own controller, and extra against that controller.
+func checkCtrlInvariants[C moduleCtrl](m *Machine, ctrls []C, extra func(c C, b addr.Block, copies []copyView) error) error {
 	for j, c := range ctrls {
 		if !c.Quiescent() {
 			return fmt.Errorf("controller %d not quiescent", j)
 		}
 	}
-	cur := m.copies()
-	for blk := 0; blk < m.space.Blocks; blk++ {
-		b := addr.Block(blk)
-		ctrl := ctrls[b.Module(m.space.Modules)]
-		copies := cur.next(b)
-		if err := m.checkDataInvariants(b, copies, ctrl.MemVersion(b)); err != nil {
-			return err
+	ctrlOf := func(b addr.Block) C { return ctrls[b.Module(m.space.Modules)] }
+	return checkGenericInvariants(m, func(b addr.Block) uint64 { return ctrlOf(b).MemVersion(b) },
+		func(b addr.Block, copies []copyView) error { return extra(ctrlOf(b), b, copies) })
+}
+
+// checkTwoBitState verifies a two-bit global state against the caches'
+// actual contents. Present* may legitimately overcount (it means "0 or
+// more copies"); every other state is exact.
+func checkTwoBitState(ctrl *core.Controller, b addr.Block, copies []copyView) error {
+	st := ctrl.State(b)
+	modified := 0
+	for _, cv := range copies {
+		if cv.frame.Modified {
+			modified++
 		}
-		st := ctrl.State(b)
-		modified := 0
-		for _, cv := range copies {
-			if cv.frame.Modified {
-				modified++
-			}
+	}
+	switch st {
+	case directory.Absent:
+		if len(copies) != 0 {
+			return fmt.Errorf("%v: state Absent but %d copies exist", b, len(copies))
 		}
-		switch st {
-		case directory.Absent:
-			if len(copies) != 0 {
-				return fmt.Errorf("%v: state Absent but %d copies exist", b, len(copies))
-			}
-		case directory.Present1:
-			if len(copies) > 1 || modified != 0 {
-				return fmt.Errorf("%v: state Present1 but %d copies (%d modified)", b, len(copies), modified)
-			}
-		case directory.PresentStar:
-			if modified != 0 {
-				return fmt.Errorf("%v: state Present* but a modified copy exists", b)
-			}
-		case directory.PresentM:
-			if len(copies) != 1 || modified != 1 {
-				return fmt.Errorf("%v: state PresentM but %d copies (%d modified)", b, len(copies), modified)
-			}
+	case directory.Present1:
+		if len(copies) > 1 || modified != 0 {
+			return fmt.Errorf("%v: state Present1 but %d copies (%d modified)", b, len(copies), modified)
 		}
-		if modified == 1 && st != directory.PresentM {
-			return fmt.Errorf("%v: modified copy exists but state is %v", b, st)
+	case directory.PresentStar:
+		if modified != 0 {
+			return fmt.Errorf("%v: state Present* but a modified copy exists", b)
 		}
-		if len(copies) >= 2 && st != directory.PresentStar {
-			return fmt.Errorf("%v: %d copies but state is %v", b, len(copies), st)
+	case directory.PresentM:
+		if len(copies) != 1 || modified != 1 {
+			return fmt.Errorf("%v: state PresentM but %d copies (%d modified)", b, len(copies), modified)
 		}
+	}
+	if modified == 1 && st != directory.PresentM {
+		return fmt.Errorf("%v: modified copy exists but state is %v", b, st)
+	}
+	if len(copies) >= 2 && st != directory.PresentStar {
+		return fmt.Errorf("%v: %d copies but state is %v", b, len(copies), st)
 	}
 	return nil
 }
 
-// checkFullMapInvariants verifies the exact n+1-bit map against the caches.
-func checkFullMapInvariants(m *Machine, ctrls []*fullmap.Controller) error {
-	for j, c := range ctrls {
-		if !c.Quiescent() {
-			return fmt.Errorf("controller %d not quiescent", j)
+// checkFullMapState verifies the exact n+1-bit map against the caches.
+// Extra presence bits can only exist when clean ejects are disabled.
+func (m *Machine) checkFullMapState(ctrl *fullmap.Controller, b addr.Block, copies []copyView) error {
+	holders := ctrl.Holders(b)
+	// Every copy must be a known holder (exactness of the map).
+	for _, cv := range copies {
+		if !slices.Contains(holders, cv.cacheIdx) {
+			return fmt.Errorf("%v: cache %d holds a copy the map does not record", b, cv.cacheIdx)
 		}
 	}
-	cur := m.copies()
-	for blk := 0; blk < m.space.Blocks; blk++ {
-		b := addr.Block(blk)
-		ctrl := ctrls[b.Module(m.space.Modules)]
-		copies := cur.next(b)
-		if err := m.checkDataInvariants(b, copies, ctrl.MemVersion(b)); err != nil {
-			return err
+	if !m.cfg.DisableCleanEject && len(holders) != len(copies) {
+		return fmt.Errorf("%v: map records %d holders but %d copies exist", b, len(holders), len(copies))
+	}
+	if ctrl.Modified(b) {
+		if len(holders) != 1 {
+			return fmt.Errorf("%v: m bit set with %d holders", b, len(holders))
 		}
-		holders := ctrl.Holders(b)
-		holds := func(k int) bool {
-			for _, h := range holders {
-				if h == k {
-					return true
-				}
-			}
-			return false
-		}
-		// Every copy must be a known holder (exactness of the map). Extra
-		// presence bits can only exist when clean ejects are disabled.
-		for _, cv := range copies {
-			if !holds(cv.cacheIdx) {
-				return fmt.Errorf("%v: cache %d holds a copy the map does not record", b, cv.cacheIdx)
-			}
-		}
-		if !m.cfg.DisableCleanEject && len(holders) != len(copies) {
-			return fmt.Errorf("%v: map records %d holders but %d copies exist", b, len(holders), len(copies))
-		}
-		if ctrl.Modified(b) {
-			if len(holders) != 1 {
-				return fmt.Errorf("%v: m bit set with %d holders", b, len(holders))
-			}
-			// With the Yen–Fu extension the m bit is pessimistic: the sole
-			// holder may hold the block Exclusive (clean). Otherwise the
-			// copy must be modified.
-			if len(copies) == 1 {
-				f := copies[0].frame
-				if !f.Modified && !f.Exclusive {
-					return fmt.Errorf("%v: m bit set but the copy is plainly clean", b)
-				}
+		// With the Yen–Fu extension the m bit is pessimistic: the sole
+		// holder may hold the block Exclusive (clean). Otherwise the
+		// copy must be modified.
+		if len(copies) == 1 {
+			f := copies[0].frame
+			if !f.Modified && !f.Exclusive {
+				return fmt.Errorf("%v: m bit set but the copy is plainly clean", b)
 			}
 		}
 	}
 	return nil
 }
 
-// checkGenericInvariants runs only the protocol-independent checks, using
-// memVersion to read back main memory. Used by protocols without a global
-// directory (classical, write-once, software).
+// checkGenericInvariants runs the protocol-independent checks, using
+// memVersion to read back main memory and extra for any per-block
+// protocol rule. checkCtrlInvariants builds on it for the per-module
+// controllers (two-bit, full map, classical, duplication); write-once and
+// software, which have no such controllers, call it directly.
 func checkGenericInvariants(m *Machine, memVersion func(addr.Block) uint64, extra func(b addr.Block, copies []copyView) error) error {
 	cur := m.copies()
 	for blk := 0; blk < m.space.Blocks; blk++ {

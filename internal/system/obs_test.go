@@ -10,12 +10,26 @@ import (
 	"twobit/internal/obs"
 )
 
+// directoryProtocols are the protocols built on the shared
+// directory-controller skeleton, which emits every ctrl<j>/* instrument.
+var directoryProtocols = []Protocol{TwoBit, FullMap, Duplication}
+
+// obsConfig is the default 4-processor configuration for protocol, on
+// the single memory module Tang's central controller requires.
+func obsConfig(protocol Protocol) Config {
+	cfg := DefaultConfig(protocol, 4)
+	if protocol == Duplication {
+		cfg.Modules = 1
+	}
+	return cfg
+}
+
 // runObs runs the standard seeded sharing workload with a recorder
 // attached and returns the machine, its results, and the recorder.
-func runObs(t *testing.T, ring int) (*Machine, Results, *obs.Recorder) {
+func runObs(t *testing.T, protocol Protocol, ring int) (*Machine, Results, *obs.Recorder) {
 	t.Helper()
 	rec := obs.New(ring)
-	cfg := DefaultConfig(TwoBit, 4)
+	cfg := obsConfig(protocol)
 	cfg.Obs = rec
 	m, err := New(cfg, sharingGen(4, 7))
 	if err != nil {
@@ -32,7 +46,13 @@ func runObs(t *testing.T, ring int) (*Machine, Results, *obs.Recorder) {
 // simulator's own counters: the instrument must agree exactly with the
 // measurements the machine already makes, not approximately.
 func TestObsExactness(t *testing.T) {
-	m, res, rec := runObs(t, 1<<16)
+	for _, protocol := range directoryProtocols {
+		t.Run(protocol.String(), func(t *testing.T) { testObsExactness(t, protocol) })
+	}
+}
+
+func testObsExactness(t *testing.T, protocol Protocol) {
+	m, res, rec := runObs(t, protocol, 1<<16)
 	snap := rec.Snapshot()
 	if res.Obs == nil {
 		t.Fatal("Results.Obs is nil despite Config.Obs")
@@ -99,12 +119,12 @@ func TestObsExactness(t *testing.T) {
 		t.Errorf("ref_latency mean = %v, LatencyMean = %v", lat.Mean(), res.LatencyMean)
 	}
 
-	// Directory transition counters: the two-bit protocol's state machine
-	// must have moved (the workload shares blocks), and every transition
-	// was counted somewhere.
+	// Directory transition counters: the directory's (projected) two-bit
+	// state must have moved (the workload shares blocks), and every
+	// transition was counted somewhere.
 	var transitions uint64
 	for j := range res.Ctrl {
-		for _, suffix := range []string{"dir_to_absent", "dir_to_present1", "dir_to_present_star", "dir_to_present_m"} {
+		for _, suffix := range obs.DirStateCounterSuffix {
 			transitions += mustCounter(fmt.Sprintf("ctrl%d/%s", j, suffix))
 		}
 	}
@@ -118,8 +138,14 @@ func TestObsExactness(t *testing.T) {
 // the snapshot itself is stripped). Recording may observe the run; it
 // must not steer it.
 func TestObsDoesNotPerturb(t *testing.T) {
+	for _, protocol := range directoryProtocols {
+		t.Run(protocol.String(), func(t *testing.T) { testObsDoesNotPerturb(t, protocol) })
+	}
+}
+
+func testObsDoesNotPerturb(t *testing.T, protocol Protocol) {
 	run := func(withObs bool) []byte {
-		cfg := DefaultConfig(TwoBit, 4)
+		cfg := obsConfig(protocol)
 		if withObs {
 			cfg.Obs = obs.New(1 << 12)
 		}
@@ -146,8 +172,8 @@ func TestObsDoesNotPerturb(t *testing.T) {
 // TestObsDeterministic pins that two identical instrumented runs produce
 // identical snapshots and identical event streams.
 func TestObsDeterministic(t *testing.T) {
-	_, _, rec1 := runObs(t, 1<<12)
-	_, _, rec2 := runObs(t, 1<<12)
+	_, _, rec1 := runObs(t, TwoBit, 1<<12)
+	_, _, rec2 := runObs(t, TwoBit, 1<<12)
 	s1, _ := json.Marshal(rec1.Snapshot())
 	s2, _ := json.Marshal(rec2.Snapshot())
 	if !bytes.Equal(s1, s2) {
@@ -167,7 +193,7 @@ func TestObsDeterministic(t *testing.T) {
 // TestObsResultsRoundTripWithSnapshot extends the codec round-trip to an
 // instrumented run: the snapshot survives encode/decode byte-stably.
 func TestObsResultsRoundTripWithSnapshot(t *testing.T) {
-	_, res, _ := runObs(t, 0)
+	_, res, _ := runObs(t, TwoBit, 0)
 	enc, err := res.EncodeStable()
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func runWindowed(t *testing.T, protocol Protocol, width uint64) (Results, *obs.R
 	rec := obs.New(0)
 	rec.EnableWindows(width)
 	rec.EnableContention(32)
-	cfg := DefaultConfig(protocol, 4)
+	cfg := obsConfig(protocol)
 	cfg.Obs = rec
 	m, err := New(cfg, sharingGen(4, 7))
 	if err != nil {
@@ -44,7 +44,7 @@ func censusAt(sv obs.SeriesValue, w int) uint64 {
 // must equal the whole-run statistics exactly — and the directory-state
 // census must conserve the block population in every window.
 func TestTimeSeriesExactness(t *testing.T) {
-	for _, protocol := range []Protocol{TwoBit, FullMap} {
+	for _, protocol := range directoryProtocols {
 		t.Run(protocol.String(), func(t *testing.T) {
 			res, _ := runWindowed(t, protocol, 64)
 			if res.Obs == nil {

@@ -14,7 +14,7 @@ func runSpans(t *testing.T, proto Protocol) (Results, *obs.Recorder) {
 	t.Helper()
 	rec := obs.New(0)
 	rec.EnableSpans(0)
-	cfg := DefaultConfig(proto, 4)
+	cfg := obsConfig(proto)
 	cfg.Obs = rec
 	m, err := New(cfg, sharingGen(4, 7))
 	if err != nil {
@@ -33,7 +33,7 @@ func runSpans(t *testing.T, proto Protocol) (Results, *obs.Recorder) {
 // classes, span latencies must reproduce sys/ref_latency_cycles
 // exactly, reference for reference and cycle for cycle.
 func TestSpanExactness(t *testing.T) {
-	for _, proto := range []Protocol{TwoBit, FullMap} {
+	for _, proto := range directoryProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
 			res, rec := runSpans(t, proto)
 			snap := rec.Snapshot()

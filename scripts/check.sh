@@ -108,7 +108,7 @@ echo "==> pooled-runner smoke (heterogeneous shapes + trace cache)"
 cat > "$SMOKE/poolplan.json" <<EOF4
 {
   "name": "poolsmoke",
-  "protocols": ["two-bit", "full-map", "classical", "write-once"],
+  "protocols": ["two-bit", "full-map", "duplication", "classical", "write-once"],
   "qs": [0.1],
   "ws": [0.3],
   "procs": [2, 4],
